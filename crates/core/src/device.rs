@@ -317,7 +317,6 @@ impl SieveDevice {
                 DeviceKind::Type1 => sched::simulate_type1(
                     &self.config,
                     &self.layout,
-                    queries,
                     &[],
                     None,
                     &ShardPlan::empty(),
@@ -749,18 +748,21 @@ impl SieveDevice {
         }
 
         let report = match self.config.device {
-            DeviceKind::Type1 => sched::simulate_type1(
-                &self.config,
-                &self.layout,
-                space_queries,
-                space_work,
-                mult,
-                plan,
-                pairs,
-                threads,
-                n as u64,
-                hits,
-            ),
+            DeviceKind::Type1 => {
+                let _span = rec.span("sched.type1");
+                let _wall = tr.span("sched.type1");
+                sched::simulate_type1(
+                    &self.config,
+                    &self.layout,
+                    space_work,
+                    mult,
+                    plan,
+                    pairs,
+                    threads,
+                    n as u64,
+                    hits,
+                )
+            }
             _ => sched::simulate_type23(&self.config, loads),
         };
         debug_assert_eq!(report.hits, hits);

@@ -265,7 +265,7 @@ impl<'a> MergeCursor<'a> {
 /// before `from` sorts strictly below it. Gallops forward from `from`,
 /// then binary-searches the bracketed window, so the cost is logarithmic
 /// in the distance advanced rather than in the slice length.
-fn lower_bound_from(entries: &[(Kmer, TaxonId)], from: usize, target: u64) -> usize {
+pub(crate) fn lower_bound_from(entries: &[(Kmer, TaxonId)], from: usize, target: u64) -> usize {
     if from >= entries.len() || entries[from].0.bits() >= target {
         return from;
     }
@@ -320,7 +320,7 @@ fn lcp_bits_u64(a: u64, b: u64, bit_len: usize) -> usize {
 /// are low-aligned, so the diff has no bits above `bit_len` and the
 /// subtraction cannot underflow.
 #[inline]
-fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
+pub(crate) fn lcp_bits_u64_swar(a: u64, b: u64, bit_len: usize) -> usize {
     ((a ^ b).leading_zeros() as usize + bit_len) - 64
 }
 

@@ -48,6 +48,18 @@ impl GroupShape {
         }
     }
 
+    /// Number of in-group references in columns before `c` (`c < cols`).
+    #[must_use]
+    fn ranks_before_col(&self, c: u32) -> u32 {
+        debug_assert!(c < self.cols);
+        let first_block = self.ref_cols() / 2;
+        if c <= first_block {
+            c
+        } else {
+            c.saturating_sub(self.query_cols).max(first_block)
+        }
+    }
+
     /// In-group reference rank at column `c`, or `None` for a query slot.
     #[must_use]
     pub fn rank_of_col(&self, c: u32) -> Option<u32> {
@@ -288,18 +300,14 @@ impl<'a> SubarrayView<'a> {
         lo..hi
     }
 
-    /// Smallest rank whose column is ≥ `col` (== len() if none).
+    /// Smallest rank whose column is ≥ `col` (== len() if none): the
+    /// references of every earlier group, plus this group's references in
+    /// columns before `col`.
     fn partition_rank(&self, col: u32) -> usize {
-        let (mut lo, mut hi) = (0usize, self.len());
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if self.col_of_rank(mid) < col {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let g = (col / self.group.cols) as usize;
+        let before = g * self.group.ref_cols() as usize
+            + self.group.ranks_before_col(col % self.group.cols) as usize;
+        before.min(self.len())
     }
 }
 
@@ -445,6 +453,28 @@ mod tests {
             covered += r.len();
         }
         assert_eq!(covered, sa.len());
+    }
+
+    #[test]
+    fn ranks_in_cols_matches_a_column_scan() {
+        // Type-3 (query block mid-group) and Type-1 (dense) shapes, on a
+        // full and a partly filled subarray, at group, segment and batch
+        // boundaries and at odd columns inside and around the query block.
+        let t1 = SieveConfig::type1().with_geometry(Geometry::scaled_medium());
+        let t1_layout =
+            DeviceLayout::build(synth::make_dataset_with(4, 2048, 31, 9).entries, &t1).unwrap();
+        for layout in [layout_with(30_000), t1_layout] {
+            for index in [0, layout.occupied_subarrays() - 1] {
+                let sa = layout.subarray(index);
+                let scan = |col: u32| (0..sa.len()).filter(|&r| sa.col_of_rank(r) < col).count();
+                for col in (0..=8192)
+                    .step_by(64)
+                    .chain([1, 255, 256, 257, 319, 320, 321, 575, 577])
+                {
+                    assert_eq!(sa.ranks_in_cols(0, col), 0..scan(col), "column {col}");
+                }
+            }
+        }
     }
 
     #[test]

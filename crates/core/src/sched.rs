@@ -11,7 +11,16 @@
 //!   the buffer, and group members serialize on the buffer.
 //! * **Type-1**: queries serialize through the per-bank matcher array; each
 //!   activated row is streamed in 64-bit batches, skipping batches whose
-//!   skip bit has cleared (batch-granular ETM).
+//!   skip bit has cleared (batch-granular ETM). A batch's skip bit clears
+//!   one row past its maximum LCP against the query, so the accounting
+//!   needs every batch's max LCP per query. Each batch is a contiguous
+//!   rank range of the subarray's sorted entries, and a task's queries
+//!   arrive sorted, so consecutive queries sharing `s` prefix bits leave
+//!   every batch whose max LCP is below `s` unchanged; only the one run
+//!   of batches around the insertion point is recomputed
+//!   ([`BatchEtm`]). That costs O(changed batches + live-row buckets) per
+//!   query — about three batches of 128 on real reads — instead of one
+//!   binary search per batch, O(128 · log 64).
 //!
 //! Occupied subarrays are placed round-robin across banks (and, within a
 //! bank, round-robin across compute buffers / SALP positions starting
@@ -295,7 +304,7 @@ pub(crate) fn simulate_type23(config: &SieveConfig, loads: &[SubLoad]) -> SimRep
 
 /// One shard's Type-1 contribution: integer partials whose merge order
 /// cannot affect the totals.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Type1Partial {
     subarray: usize,
     busy: TimePs,
@@ -306,21 +315,219 @@ struct Type1Partial {
     component_fj: u128,
 }
 
-/// Accounts one task of Type-1 queries against its subarray: the batch →
-/// rank-range map is computed once per task, and the per-query histogram
-/// buffers are reused across the task's queries.
+/// Bit of live-row bucket `d` (1..=64) in [`BatchEtm::mask`].
+#[inline]
+fn bucket_bit(d: usize) -> u64 {
+    1u64 << (d - 1)
+}
+
+/// Batch-granular ETM state of one Type-1 task, updated incrementally
+/// across the task's queries.
 ///
-/// `queries` / `work` / `pairs` are in *match space* — unique k-mers when
-/// the device deduplicates, raw queries otherwise — and `mult` carries
-/// each entry's occurrence count (`None` = all 1). `pairs` is the task's
-/// slice of the plan's sorted `(bits, id)` array; only the ids are
-/// consumed here. Every per-query quantity (stream time, reads,
-/// activations, energies) is a pure function of the k-mer, so charging it
-/// `mult` times is exact, not an approximation.
+/// For each non-empty batch it keeps `raw`, the batch's maximum LCP
+/// against the last query, and it keeps the histogram of the rows each
+/// batch stays live. For queries `p` then `q` sharing `s` prefix bits, a
+/// batch with `raw < s` keeps its value: each of its entries diverges
+/// from `p` — and so from `q` — at the same bit before `s`. Only batches
+/// with `raw ≥ s` can change. They hold the entries that share those `s`
+/// bits, one contiguous rank block, so they form one contiguous run
+/// around `q`'s insertion point. [`BatchEtm::advance`] recomputes just
+/// that run, each batch in O(1) from its entries nearest the insertion
+/// point.
+struct BatchEtm<'a> {
+    entries: &'a [(sieve_genomics::Kmer, sieve_genomics::TaxonId)],
+    /// Rank range of each non-empty batch, in rank order. The batches
+    /// tile `0..entries.len()`.
+    bounds: Vec<(u32, u32)>,
+    /// Per-batch maximum LCP against the last query, uncapped.
+    raw: Vec<u8>,
+    /// `live[lcp]`: rows a batch with maximum LCP `lcp` stays live.
+    live: [u8; 65],
+    /// `hist[d]`: batches live through exactly `d` rows (`1..=bit_len`).
+    hist: [u32; 65],
+    /// Bit `d − 1` set iff `hist[d] > 0`.
+    mask: u64,
+    /// Σ live rows over the batches: the read bursts of one query.
+    sum_live: u64,
+    bit_len: usize,
+    /// Insertion point of the last query in `entries`.
+    ins: usize,
+    /// First batch ending after `ins` (`bounds.len()` if none).
+    batch: usize,
+    last: Option<u64>,
+}
+
+impl<'a> BatchEtm<'a> {
+    /// State for `entries` split into `bounds`, primed so the first
+    /// [`Self::advance`] recomputes every batch: all `raw` start at 0,
+    /// which every query shares.
+    fn new(
+        entries: &'a [(sieve_genomics::Kmer, sieve_genomics::TaxonId)],
+        bounds: Vec<(u32, u32)>,
+        bit_len: usize,
+        esp: Option<usize>,
+    ) -> Self {
+        assert!(
+            (2..=64).contains(&bit_len),
+            "k-mer bit length {bit_len} out of range"
+        );
+        // Rows a batch stays live: one past its LCP (the batch is compared
+        // on its death row), capped at 2k, with a miss's LCP first capped
+        // at the ESP override when one is set.
+        let mut live = [0u8; 65];
+        for (lcp, rows) in live.iter_mut().enumerate().take(bit_len + 1) {
+            let capped = match esp {
+                Some(esp) if lcp < bit_len => lcp.min(esp),
+                _ => lcp,
+            };
+            *rows = (capped + 1).min(bit_len) as u8;
+        }
+        debug_assert!(
+            bounds.first().is_none_or(|b| b.0 == 0)
+                && bounds.windows(2).all(|w| w[0].1 == w[1].0)
+                && bounds.last().map_or(0, |b| b.1 as usize) == entries.len(),
+            "batches must tile the subarray's ranks"
+        );
+        let n = bounds.len();
+        let first = usize::from(live[0]);
+        let mut hist = [0u32; 65];
+        hist[first] = n as u32;
+        Self {
+            entries,
+            bounds,
+            raw: vec![0; n],
+            live,
+            hist,
+            mask: if n > 0 { bucket_bit(first) } else { 0 },
+            sum_live: (n * first) as u64,
+            bit_len,
+            ins: 0,
+            batch: 0,
+            last: None,
+        }
+    }
+
+    /// Moves the state to the query with packed bits `key`.
+    fn advance(&mut self, key: u64) {
+        let shared = match self.last {
+            Some(prev) => engine::lcp_bits_u64_swar(prev, key, self.bit_len),
+            None => 0,
+        };
+        if shared == self.bit_len {
+            // A repeated key changes nothing.
+            return;
+        }
+        // The galloping search and the batch cursor resume from the last
+        // query, which the plan's sort order makes the nearest below.
+        debug_assert!(
+            self.last.is_none_or(|prev| prev <= key),
+            "Type-1 task queries must arrive sorted"
+        );
+        self.last = Some(key);
+        self.ins = engine::lower_bound_from(self.entries, self.ins, key);
+        let n = self.bounds.len();
+        while self.batch < n && self.bounds[self.batch].1 as usize <= self.ins {
+            self.batch += 1;
+        }
+        if n == 0 {
+            return;
+        }
+        // The batches holding ranks `ins − 1` and `ins` (clamped): if any
+        // batch shares `shared` bits with the query, one of them does.
+        let hi = self.batch.min(n - 1);
+        let lo = if self.ins > 0 && self.bounds[hi].0 as usize >= self.ins {
+            hi - 1
+        } else {
+            hi
+        };
+        for c in lo..=hi {
+            self.recompute(c, key);
+        }
+        // Extend the run while the *old* value reached `shared`.
+        let mut c = lo;
+        while c > 0 && usize::from(self.raw[c - 1]) >= shared {
+            c -= 1;
+            self.recompute(c, key);
+        }
+        let mut c = hi + 1;
+        while c < n && usize::from(self.raw[c]) >= shared {
+            self.recompute(c, key);
+            c += 1;
+        }
+    }
+
+    /// Sets batch `c`'s LCP against `key`: the batch's entries nearest the
+    /// insertion point attain it (see [`engine::max_lcp_in_range`]).
+    fn recompute(&mut self, c: usize, key: u64) {
+        let (start, end) = (self.bounds[c].0 as usize, self.bounds[c].1 as usize);
+        let left = self.ins.clamp(start + 1, end) - 1;
+        let right = self.ins.clamp(start, end - 1);
+        let lcp =
+            |rank: usize| engine::lcp_bits_u64_swar(self.entries[rank].0.bits(), key, self.bit_len);
+        let raw = lcp(left).max(lcp(right)) as u8;
+        let old = usize::from(self.live[usize::from(self.raw[c])]);
+        let new = usize::from(self.live[usize::from(raw)]);
+        self.raw[c] = raw;
+        if old != new {
+            self.hist[old] -= 1;
+            if self.hist[old] == 0 {
+                self.mask &= !bucket_bit(old);
+            }
+            self.hist[new] += 1;
+            self.mask |= bucket_bit(new);
+            self.sum_live = self.sum_live - old as u64 + new as u64;
+        }
+    }
+
+    /// Rows the current query activates: the deepest batch's live rows.
+    fn rows_needed(&self) -> usize {
+        (64 - self.mask.leading_zeros()) as usize
+    }
+
+    /// Streaming time of the current query. Row `t` streams `live(t)`
+    /// batches (those live through more than `t` rows) and costs
+    /// `max(tRCD + live(t)·tCCD + tRP, tRC)`. Summed over the rows, the
+    /// first term gives `rows·(tRCD + tRP) + tCCD·sum_live`; the `tRC`
+    /// floor adds only on the deepest rows, where few batches are live,
+    /// so the walk below visits a handful of histogram buckets from the
+    /// top and stops at the first row that streams past the floor.
+    fn stream_time(&self, timing: &sieve_dram::TimingParams) -> TimePs {
+        let base = timing.t_rcd + timing.t_rp;
+        let row_cycle = timing.row_cycle();
+        let mut time = self.rows_needed() as u64 * base + self.sum_live * timing.t_ccd;
+        let mut rest = self.mask;
+        let mut live = 0u64;
+        while rest != 0 {
+            let top = (64 - rest.leading_zeros()) as usize;
+            rest &= !bucket_bit(top);
+            live += u64::from(self.hist[top]);
+            let stream = base + live * timing.t_ccd;
+            if stream >= row_cycle {
+                break;
+            }
+            // Rows `next..top` stream exactly `live` batches.
+            let next = (64 - rest.leading_zeros()) as u64;
+            time += (top as u64 - next) * (row_cycle - stream);
+        }
+        time
+    }
+}
+
+/// Accounts one task of Type-1 queries against its subarray.
+///
+/// `work` / `pairs` are in *match space* — unique k-mers when the device
+/// deduplicates, raw queries otherwise — and `mult` carries each entry's
+/// occurrence count (`None` = all 1). `pairs` is the task's slice of the
+/// plan's sorted `(bits, id)` array. Every per-query quantity (stream
+/// time, reads, activations, energies) is a pure function of the k-mer,
+/// so charging it `mult` times is exact, not an approximation.
+///
+/// With ETM on, the per-batch LCPs live in a [`BatchEtm`] that each
+/// query updates in O(changed batches); without it every non-empty batch
+/// streams on every row, so the per-query cost is one constant.
 fn type1_task(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    queries: &[sieve_genomics::Kmer],
     work: &[QueryWork],
     mult: Option<&[u32]>,
     subarray: usize,
@@ -328,74 +535,58 @@ fn type1_task(
 ) -> Type1Partial {
     let comp = ComponentEnergies::paper();
     let timing = &config.timing;
-    let row_cycle = timing.row_cycle();
     let bit_len = config.region1_rows() as usize;
     let batch_bits = 64u32;
-    let batches_per_row = (config.geometry.cols_per_row / batch_bits) as usize;
+    let batches_per_row = config.geometry.cols_per_row / batch_bits;
 
     let sa = layout.subarray(subarray);
-    let ranges: Vec<std::ops::Range<usize>> = (0..batches_per_row)
-        .map(|b| sa.ranks_in_cols(b as u32 * batch_bits, (b as u32 + 1) * batch_bits))
+    let bounds: Vec<(u32, u32)> = (0..batches_per_row)
+        .map(|b| sa.ranks_in_cols(b * batch_bits, (b + 1) * batch_bits))
+        .filter(|r| !r.is_empty())
+        .map(|r| (r.start as u32, r.end as u32))
         .collect();
+    // Without skip bits every non-empty batch streams on all 2k rows.
+    let batches = bounds.len() as u64;
+    let flat = (bit_len as u64, batches * bit_len as u64, {
+        let stream = timing.t_rcd + batches * timing.t_ccd + timing.t_rp;
+        bit_len as u64 * stream.max(timing.row_cycle())
+    });
+    let mut etm = config.etm_enabled.then(|| {
+        BatchEtm::new(
+            sa.entries(),
+            bounds,
+            bit_len,
+            config.esp_override.map(|esp| esp as usize),
+        )
+    });
 
     let mut p = Type1Partial {
         subarray,
         ..Type1Partial::default()
     };
-    let mut alive_rows_hist = vec![0u32; bit_len + 1];
-    let mut live_suffix = vec![0u32; bit_len + 2];
     for &pair in pairs {
-        let i = pair.id();
-        let q = &queries[i as usize];
-        let w = &work[i as usize];
-        let m = mult.map_or(1u64, |m| u64::from(m[i as usize]));
-        // Rows each batch stays live: max LCP within the batch + 1
-        // (the batch must be compared on its death row), capped at 2k.
-        // `alive[d]` counts batches live through exactly d rows.
-        alive_rows_hist.fill(0);
-        let mut rows_needed = 0usize;
-        for range in &ranges {
-            if let Some(mut lcp) = engine::max_lcp_in_range(&sa, range.clone(), *q) {
-                if let Some(esp) = config.esp_override {
-                    if lcp < bit_len {
-                        lcp = lcp.min(esp as usize);
-                    }
-                }
-                let live_rows = (lcp + 1).min(bit_len);
-                alive_rows_hist[live_rows] += 1;
-                rows_needed = rows_needed.max(live_rows);
+        let i = pair.id() as usize;
+        let m = mult.map_or(1u64, |m| u64::from(m[i]));
+        let (rows_needed, mut query_reads, mut query_time) = match etm.as_mut() {
+            Some(etm) => {
+                etm.advance(pair.key());
+                (
+                    etm.rows_needed() as u64,
+                    etm.sum_live,
+                    etm.stream_time(timing),
+                )
             }
-        }
-        if !config.etm_enabled {
-            rows_needed = bit_len;
-        }
-        // live(t) = batches whose live_rows > t.
-        live_suffix[bit_len + 1] = 0;
-        for d in (0..=bit_len).rev() {
-            live_suffix[d] = live_suffix[d + 1] + alive_rows_hist[d];
-        }
-        let mut query_time = 0u64;
-        let mut query_reads = 0u64;
-        for t in 0..rows_needed {
-            let live = if config.etm_enabled {
-                u64::from(live_suffix[t + 1])
-            } else {
-                // Without skip bits every non-empty batch is streamed.
-                u64::from(live_suffix[0])
-            };
-            let stream = timing.t_rcd + live * timing.t_ccd + timing.t_rp;
-            query_time += stream.max(row_cycle);
-            query_reads += live;
-        }
-        if w.hit {
+            None => flat,
+        };
+        if work[i].hit {
             query_time += payload_time(config);
             query_reads += 2;
             p.row_activations += 2 * m;
             p.activation_fj += u128::from(2 * m) * u128::from(config.energy.e_act);
         }
-        p.row_activations += rows_needed as u64 * m;
+        p.row_activations += rows_needed * m;
         p.read_bursts += query_reads * m;
-        p.activation_fj += rows_needed as u128 * u128::from(m) * u128::from(config.energy.e_act);
+        p.activation_fj += u128::from(rows_needed * m) * u128::from(config.energy.e_act);
         p.read_fj += u128::from(query_reads * m) * u128::from(config.energy.e_rd);
         // Matcher array + registers + SRAM buffer per batch comparison.
         p.component_fj += u128::from(query_reads * m) * u128::from(comp.t1_batch_fj);
@@ -409,13 +600,12 @@ fn type1_task(
 /// only sums integers per bank, so the report is bit-identical for any
 /// `threads` and for any shard → task split.
 ///
-/// `queries` / `work` / `mult` are in match space (see [`type1_task`]);
+/// `work` / `mult` are in match space (see [`type1_task`]);
 /// `total_queries` / `total_hits` are the *expanded* batch totals.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn simulate_type1(
     config: &SieveConfig,
     layout: &DeviceLayout,
-    queries: &[sieve_genomics::Kmer],
     work: &[QueryWork],
     mult: Option<&[u32]>,
     plan: &ShardPlan,
@@ -427,7 +617,7 @@ pub(crate) fn simulate_type1(
     let banks = config.geometry.total_banks();
     let partials = par::map_indexed(threads, plan.task_count(), |t| {
         let (subarray, range) = plan.task(t);
-        type1_task(config, layout, queries, work, mult, subarray, &pairs[range])
+        type1_task(config, layout, work, mult, subarray, &pairs[range])
     });
 
     let tr = trace::global();
@@ -484,6 +674,7 @@ pub(crate) fn simulate_type1(
 mod tests {
     use super::*;
     use crate::device::SieveDevice;
+    use crate::layout::DeviceLayout;
     use sieve_dram::Geometry;
     use sieve_genomics::{synth, Kmer};
 
@@ -595,6 +786,196 @@ mod tests {
         // Every batch of ≤64 queries per subarray costs 868 writes.
         assert_eq!(report.write_bursts % 868, 0);
         assert!(report.write_bursts > 0);
+    }
+
+    /// The per-query Type-1 accounting the incremental [`BatchEtm`]
+    /// replaced, kept as its oracle: one binary search per batch
+    /// ([`engine::max_lcp_in_range`]), a fresh live-row histogram per
+    /// query, and the row-by-row stream sum.
+    fn type1_task_reference(
+        config: &SieveConfig,
+        layout: &DeviceLayout,
+        queries: &[Kmer],
+        work: &[QueryWork],
+        mult: Option<&[u32]>,
+        subarray: usize,
+        pairs: &[radix::Pair],
+    ) -> Type1Partial {
+        let comp = ComponentEnergies::paper();
+        let timing = &config.timing;
+        let row_cycle = timing.row_cycle();
+        let bit_len = config.region1_rows() as usize;
+        let batch_bits = 64u32;
+        let batches_per_row = (config.geometry.cols_per_row / batch_bits) as usize;
+
+        let sa = layout.subarray(subarray);
+        let ranges: Vec<std::ops::Range<usize>> = (0..batches_per_row)
+            .map(|b| sa.ranks_in_cols(b as u32 * batch_bits, (b as u32 + 1) * batch_bits))
+            .collect();
+
+        let mut p = Type1Partial {
+            subarray,
+            ..Type1Partial::default()
+        };
+        let mut alive_rows_hist = vec![0u32; bit_len + 1];
+        let mut live_suffix = vec![0u32; bit_len + 2];
+        for &pair in pairs {
+            let i = pair.id();
+            let q = &queries[i as usize];
+            let w = &work[i as usize];
+            let m = mult.map_or(1u64, |m| u64::from(m[i as usize]));
+            alive_rows_hist.fill(0);
+            let mut rows_needed = 0usize;
+            for range in &ranges {
+                if let Some(mut lcp) = engine::max_lcp_in_range(&sa, range.clone(), *q) {
+                    if let Some(esp) = config.esp_override {
+                        if lcp < bit_len {
+                            lcp = lcp.min(esp as usize);
+                        }
+                    }
+                    let live_rows = (lcp + 1).min(bit_len);
+                    alive_rows_hist[live_rows] += 1;
+                    rows_needed = rows_needed.max(live_rows);
+                }
+            }
+            if !config.etm_enabled {
+                rows_needed = bit_len;
+            }
+            live_suffix[bit_len + 1] = 0;
+            for d in (0..=bit_len).rev() {
+                live_suffix[d] = live_suffix[d + 1] + alive_rows_hist[d];
+            }
+            let mut query_time = 0u64;
+            let mut query_reads = 0u64;
+            for t in 0..rows_needed {
+                let live = if config.etm_enabled {
+                    u64::from(live_suffix[t + 1])
+                } else {
+                    u64::from(live_suffix[0])
+                };
+                let stream = timing.t_rcd + live * timing.t_ccd + timing.t_rp;
+                query_time += stream.max(row_cycle);
+                query_reads += live;
+            }
+            if w.hit {
+                query_time += payload_time(config);
+                query_reads += 2;
+                p.row_activations += 2 * m;
+                p.activation_fj += u128::from(2 * m) * u128::from(config.energy.e_act);
+            }
+            p.row_activations += rows_needed as u64 * m;
+            p.read_bursts += query_reads * m;
+            p.activation_fj +=
+                rows_needed as u128 * u128::from(m) * u128::from(config.energy.e_act);
+            p.read_fj += u128::from(query_reads * m) * u128::from(config.energy.e_rd);
+            p.component_fj += u128::from(query_reads * m) * u128::from(comp.t1_batch_fj);
+            p.busy += query_time * m;
+        }
+        p
+    }
+
+    /// An adversarial query stream against one subarray, as packed keys:
+    /// every non-empty batch's first and last key and their ±1
+    /// neighbours, keys below the first entry and above the last, deep
+    /// near-misses (one low bit flipped), seeded random keys, and runs of
+    /// duplicates.
+    fn adversarial_keys(layout: &DeviceLayout, subarray: usize, bit_len: usize) -> Vec<u64> {
+        let sa = layout.subarray(subarray);
+        let entries = sa.entries();
+        let mask = u64::MAX >> (64 - bit_len);
+        let bits = |rank: usize| entries[rank].0.bits();
+        let mut keys = vec![0, mask, bits(0).saturating_sub(1), bits(sa.len() - 1) + 1];
+        for b in 0..128u32 {
+            let r = sa.ranks_in_cols(b * 64, (b + 1) * 64);
+            if r.is_empty() {
+                continue;
+            }
+            let (first, last) = (bits(r.start), bits(r.end - 1));
+            keys.extend([first, first.saturating_sub(1), last, last + 1, last]);
+        }
+        for rank in (0..sa.len()).step_by(97) {
+            keys.extend([bits(rank) ^ 1, bits(rank) ^ 2, bits(rank) ^ (1 << 9)]);
+            keys.extend(std::iter::repeat_n(bits(rank), rank % 4));
+        }
+        let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ subarray as u64;
+        for _ in 0..300 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            keys.push(state >> (64 - bit_len));
+        }
+        keys.extend(std::iter::repeat_n(keys[keys.len() - 1], 5));
+        keys.iter().map(|&k| k & mask).collect()
+    }
+
+    /// Runs both Type-1 task kernels over each occupied subarray's
+    /// adversarial keys, sorted as the plan delivers them, and asserts
+    /// equal partials.
+    fn assert_type1_kernels_agree(config: &SieveConfig, layout: &DeviceLayout, label: &str) {
+        let bit_len = config.region1_rows() as usize;
+        for subarray in 0..layout.occupied_subarrays() {
+            let mut keys = adversarial_keys(layout, subarray, bit_len);
+            keys.sort_unstable();
+            let sa = layout.subarray(subarray);
+            let queries: Vec<Kmer> = keys
+                .iter()
+                .map(|&k| Kmer::from_u64(k, config.k).unwrap())
+                .collect();
+            let work: Vec<QueryWork> = keys
+                .iter()
+                .map(|&k| QueryWork {
+                    rows: 0,
+                    hit: sa
+                        .entries()
+                        .binary_search_by_key(&k, |(e, _)| e.bits())
+                        .is_ok(),
+                })
+                .collect();
+            let mult: Vec<u32> = (0..keys.len() as u32).map(|i| i % 5 + 1).collect();
+            let pairs: Vec<radix::Pair> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| radix::Pair::new(k, i as u32))
+                .collect();
+            for m in [None, Some(mult.as_slice())] {
+                let fast = type1_task(config, layout, &work, m, subarray, &pairs);
+                let slow =
+                    type1_task_reference(config, layout, &queries, &work, m, subarray, &pairs);
+                assert_eq!(
+                    fast,
+                    slow,
+                    "{label}: subarray {subarray}, mult {}",
+                    m.is_some()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn type1_incremental_kernel_matches_per_batch_search() {
+        for k in [15usize, 31, 32] {
+            let ds = synth::make_dataset_with(8, 2048, k, 41);
+            let configs = [
+                ("etm", SieveConfig::type1()),
+                ("etm-off", SieveConfig::type1().with_etm(false)),
+                ("esp10", SieveConfig::type1().with_esp_override(10)),
+                ("esp0", SieveConfig::type1().with_esp_override(0)),
+                (
+                    "etm-off-esp4",
+                    SieveConfig::type1().with_etm(false).with_esp_override(4),
+                ),
+            ];
+            for (label, config) in configs {
+                let config = config.with_k(k).with_geometry(Geometry::scaled_medium());
+                let layout = DeviceLayout::build(ds.entries.clone(), &config).unwrap();
+                let last = layout.subarray(layout.occupied_subarrays() - 1);
+                assert!(
+                    last.len() < layout.refs_per_subarray() as usize,
+                    "the last subarray must be partly filled"
+                );
+                assert_type1_kernels_agree(&config, &layout, &format!("k={k} {label}"));
+            }
+        }
     }
 
     #[test]

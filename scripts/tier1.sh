@@ -34,6 +34,11 @@ echo "== tier1: kernel differential suite under overflow checks =="
 # keeps the special RUSTFLAGS from invalidating the main cache.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q --test kernel_equivalence
+# The incremental Type-1 batch-ETM kernel against its per-batch
+# binary-search oracle: its XOR/leading-zeros LCP and live-row histogram
+# decrements are the same wrap-prone arithmetic.
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
+    cargo test -q -p sieve-core --lib sched::tests::type1_incremental_kernel
 
 echo "== tier1: bench smoke (throughput floors) =="
 ./scripts/bench_smoke.sh

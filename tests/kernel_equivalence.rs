@@ -376,6 +376,9 @@ fn mixed_reads(ds: &synth::SyntheticDataset, k: usize) -> Vec<DnaSequence> {
 
 #[test]
 fn pipeline_outputs_identical_across_kernels() {
+    let _guard = GLOBALS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     for &k in &KS {
         let ds = synth::make_dataset_with(8, 2048, k, 55);
         let reads = mixed_reads(&ds, k);
@@ -402,6 +405,9 @@ fn pipeline_outputs_identical_across_kernels() {
 
 #[test]
 fn paired_pipeline_identical_across_kernels() {
+    let _guard = GLOBALS_LOCK
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let ds = synth::make_dataset_with(8, 2048, 31, 55);
     let config = synth::ReadSimConfig {
         read_len: 80,

@@ -100,6 +100,27 @@ fn seeded_device_runs_snapshot_identically_across_thread_counts() {
     }
 }
 
+/// The Type-1 scheduler owns one wall span per device run, and only
+/// Type-1 runs open it.
+#[test]
+fn type1_scheduler_runs_inside_its_own_span() {
+    let _session = RecorderSession::begin();
+    let ds = dataset();
+    let queries: Vec<Kmer> = ds.entries.iter().step_by(17).map(|(k, _)| *k).collect();
+    let span_count = || {
+        obs::global()
+            .snapshot()
+            .histogram("wall.sched.type1.ns")
+            .map_or(0, |h| h.count)
+    };
+    device(SieveConfig::type3(8), 2, &ds).run(&queries).unwrap();
+    assert_eq!(span_count(), 0, "Type-3 runs have no Type-1 scheduler");
+    let t1 = device(SieveConfig::type1(), 2, &ds);
+    t1.run(&queries).unwrap();
+    t1.run(&queries).unwrap();
+    assert_eq!(span_count(), 2);
+}
+
 /// Work stealing only moves tasks between workers, so the deterministic
 /// snapshot (model counters + histograms, `wall.*` dropped — including
 /// the new `wall.steal_tasks`) must be bit-identical across steal on/off

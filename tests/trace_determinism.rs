@@ -345,6 +345,10 @@ fn type1_model_trace_is_byte_identical_across_thread_counts() {
         runs[0].1.model.iter().any(|e| e.name == "t1.stream"),
         "Type-1 runs emit per-task streaming intervals"
     );
+    assert!(
+        runs[0].1.wall.iter().any(|e| e.name == "sched.type1"),
+        "the Type-1 scheduler runs inside its own wall span"
+    );
 }
 
 #[test]
