@@ -1,6 +1,6 @@
-//! Criterion micro-benchmarks for the planner's pair sort: the radix
-//! counting pipeline against the comparison sort, across batch sizes and
-//! key distributions. This is the calibration source for the adaptive
+//! Criterion micro-benchmarks for the planner's pair sort: the
+//! production sort against a plain comparison sort, across batch sizes
+//! and key distributions. This is the calibration source for the
 //! cutover's cost constants in `core::radix` (`CMP_NS_X16_PER_KEY_LEVEL`
 //! and friends): rerun `plan_sort` after touching the sort loops and
 //! retune the constants from the ns/key these groups report.
@@ -11,14 +11,14 @@
 //! case), `pre_sorted` rewards nothing (counting passes are oblivious to
 //! input order — the comparison sort's pattern-defeating pivots are
 //! not), and `duplicate_heavy` narrows the diff window so per-segment
-//! replans skip passes. The `lsd` axis runs with pair narrowing off and
-//! `lsd_narrow` with it on — the spread between them is the measured
-//! value of the 8-byte repack, and the input for retuning the narrowing
-//! rule's byte model alongside the cutover constants.
+//! replans skip passes. The `production` axis is the planner's sort as
+//! the device runs it (cost-model cutover and narrowing included; at
+//! these sizes the cost model always picks the counting pipeline); the
+//! `comparison` axis is `sort_unstable_by_key` on the same 12-byte
+//! `(key, id)` records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sieve_core::sort_bench::SortHarness;
-use sieve_core::SortPolicy;
+use sieve_core::sort_bench::{order_fold, SortHarness};
 
 const SIZES: [usize; 3] = [4 << 10, 64 << 10, 1 << 20];
 
@@ -65,6 +65,24 @@ fn keys(dist: &str, n: usize) -> Vec<u64> {
     }
 }
 
+/// The production sort's record layout: a `u64` key and a `u32` id
+/// packed to 12 bytes, so the comparison axis moves the same bytes.
+#[derive(Clone, Copy)]
+#[repr(C, packed(4))]
+struct Rec {
+    key: u64,
+    id: u32,
+}
+
+/// Comparison-sorts `master` into `buf` and folds the order the way the
+/// harness does.
+fn comparison_sort(master: &[Rec], buf: &mut Vec<Rec>) -> u64 {
+    buf.clear();
+    buf.extend_from_slice(master);
+    buf.sort_unstable_by_key(|r| (r.key, r.id));
+    order_fold(buf.iter().map(|r| (r.key, r.id)))
+}
+
 fn bench_plan_sort(c: &mut Criterion) {
     for dist in [
         "uniform",
@@ -74,26 +92,28 @@ fn bench_plan_sort(c: &mut Criterion) {
     ] {
         let mut g = c.benchmark_group(format!("plan_sort/{dist}"));
         for n in SIZES {
-            let mut harness = SortHarness::new(&keys(dist, n));
-            // Every axis must agree on the fold of the sorted order — a
-            // cheap cross-check that the bench measures implementations
-            // of the same sort.
-            let want = harness.run(SortPolicy::Comparison, 1, true);
-            assert_eq!(harness.run(SortPolicy::Lsd, 1, false), want, "{dist}/{n}");
+            let keys = keys(dist, n);
+            let mut harness = SortHarness::new(&keys);
+            let master: Vec<Rec> = keys
+                .iter()
+                .enumerate()
+                .map(|(i, &key)| Rec { key, id: i as u32 })
+                .collect();
+            let mut buf = Vec::with_capacity(n);
+            // Both axes must agree on the fold of the sorted order — a
+            // cheap cross-check that the bench measures two
+            // implementations of the same sort.
             assert_eq!(
-                harness.run(SortPolicy::Lsd, 1, true),
-                want,
-                "{dist}/{n} narrow"
+                harness.run(1),
+                comparison_sort(&master, &mut buf),
+                "{dist}/{n}"
             );
             g.throughput(Throughput::Elements(n as u64));
-            g.bench_with_input(BenchmarkId::new("lsd", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Lsd, 1, false));
-            });
-            g.bench_with_input(BenchmarkId::new("lsd_narrow", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Lsd, 1, true));
+            g.bench_with_input(BenchmarkId::new("production", n), &n, |b, _| {
+                b.iter(|| harness.run(1));
             });
             g.bench_with_input(BenchmarkId::new("comparison", n), &n, |b, _| {
-                b.iter(|| harness.run(SortPolicy::Comparison, 1, true));
+                b.iter(|| comparison_sort(&master, &mut buf));
             });
         }
         g.finish();

@@ -1,7 +1,7 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
 
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 use sieve_genomics::{Kmer, TaxonId};
 
@@ -260,18 +260,16 @@ impl SieveDevice {
     /// Runs a query batch: deduplicates it to distinct k-mers (unless
     /// [`SieveConfig::dedup`] is off), radix-sorts and boundary-routes
     /// the distinct set into per-subarray shards, resolves the shards —
-    /// split into bounded tasks — functionally on worker threads (with
-    /// [`SieveConfig::fused`], tasks stream to the match workers as
-    /// sealed slices of the sorted batch, skipping the unfused path's
-    /// re-scans), schedules the merged work on the configured design
-    /// point with every duplicate charged its cached outcome's full cost,
-    /// and scatters results back to all occurrences.
+    /// split into bounded tasks — functionally on worker threads,
+    /// schedules the merged work on the configured design point with
+    /// every duplicate charged its cached outcome's full cost, and
+    /// scatters results back to all occurrences.
     ///
     /// The dedup → plan → match → reduce structure is deterministic:
     /// per-query results are scattered back by input index and every
     /// merged quantity is an integer sum, so the output is bit-identical
-    /// for any [`SieveConfig::threads`], [`SieveConfig::dedup`], or
-    /// [`SieveConfig::fused`] setting.
+    /// for any [`SieveConfig::threads`] or [`SieveConfig::dedup`]
+    /// setting.
     ///
     /// # Errors
     ///
@@ -411,15 +409,14 @@ impl SieveDevice {
         // Plan: decide cache engagement from a strided sample, probe the
         // cache if engaged (replayed queries charge their loads here and
         // skip the device stage), build the `(bits, id)` pairs for the
-        // rest, and — unless the fused pipeline takes over — sort and
-        // route them into the shard plan.
+        // rest, and sort and route them into the shard plan.
         let mut cached_queries = 0u64;
         // OR-fold of `bits ^ first_bits` over the pairs, built while they
         // are pushed: hands the radix sort its digit window without a
         // second scan over the keys (`radix::sort_pairs` docs).
         let mut first_key: Option<u64> = None;
         let mut spread = 0u64;
-        let (fused, inserting) = {
+        let inserting = {
             let _span = rec.span("device.plan");
             let _wall = tr.span("device.plan");
             pairs.clear();
@@ -490,24 +487,10 @@ impl SieveDevice {
                 rec.record(obs::HistId::CacheHitKmers, cached_queries);
                 tr.emit_model("cache.probe", 0, t0, 0, cached_queries, missed);
             }
-            let inserting = cache_guard
+            plan.rebuild(index, pairs, pairs_scratch, sort, threads, Some(spread));
+            cache_guard
                 .as_deref()
-                .is_some_and(cache::KmerCache::accepts_inserts);
-            let fused = self.config.fused && threads > 1 && !pairs.is_empty();
-            if !fused {
-                let diff = (!pairs.is_empty()).then_some(spread);
-                plan.rebuild(
-                    index,
-                    pairs,
-                    pairs_scratch,
-                    sort,
-                    threads,
-                    diff,
-                    self.config.sort_policy,
-                    self.config.sort_narrow,
-                );
-            }
-            (fused, inserting)
+                .is_some_and(cache::KmerCache::accepts_inserts)
         };
         let keep_work = type1 || inserting;
         rec.add(obs::CounterId::MatchQueries, cached_queries);
@@ -516,105 +499,10 @@ impl SieveDevice {
             loads.iter().map(|l| l.hits).sum::<u64>(),
         );
 
-        // Match. Fused: the planner sorts and routes the batch, then
-        // seals the sorted array into per-task slices that are dealt to
-        // workers as contiguous owned runs through a work-stealing queue
-        // — tasks stream straight from the plan into matching with zero
-        // copies. Unfused (single thread, knob off, or nothing left to
-        // match): the pre-built plan fans out as an indexed map. Either
-        // way the outcomes land indexed by task id, so the reduce below
-        // is order-identical.
-        let outcomes: Vec<TaskOutcome> = if fused {
-            let _span = rec.span("device.match");
-            let _wall = tr.span("device.match");
-            let (done_tx, done_rx) = mpsc::channel::<(usize, TaskOutcome)>();
-            let task_count;
-            {
-                let tasks = {
-                    let _pspan = rec.span("device.plan");
-                    let _pwall = tr.span("device.plan");
-                    plan.rebuild_tasks(
-                        index,
-                        pairs,
-                        pairs_scratch,
-                        sort,
-                        threads,
-                        Some(spread),
-                        self.config.sort_policy,
-                        self.config.sort_narrow,
-                    )
-                };
-                task_count = tasks.len();
-                // Deal tasks to workers in contiguous runs balanced by
-                // pair count (tasks ascend in key order, so a run is a
-                // contiguous key range — the bucket-ownership shape).
-                let total: usize = tasks.iter().map(|t| t.pairs.len()).sum();
-                let workers = threads.min(task_count.max(1));
-                let mut queue = par::StealQueue::new(workers, self.config.steal);
-                let mut acc = 0usize;
-                let mut owner = 0usize;
-                for task in tasks {
-                    acc += task.pairs.len();
-                    queue.push(owner, task);
-                    while owner + 1 < workers && acc * workers >= total * (owner + 1) {
-                        owner += 1;
-                    }
-                }
-                let queue = &queue;
-                let worker = |wid: usize, done: &mpsc::Sender<(usize, TaskOutcome)>| {
-                    let mut stolen = 0u64;
-                    while let Some((task, was_stolen)) = queue.pop(wid) {
-                        stolen += u64::from(was_stolen);
-                        let out = self.match_pairs(
-                            task.subarray,
-                            task.pairs,
-                            mult,
-                            &table,
-                            esp_table.as_ref(),
-                            keep_work,
-                        );
-                        if done.send((task.idx, out)).is_err() {
-                            break;
-                        }
-                    }
-                    stolen
-                };
-                let stolen: u64 = std::thread::scope(|scope| {
-                    let worker = &worker;
-                    let handles: Vec<_> = (1..workers)
-                        .map(|wid| {
-                            let done = done_tx.clone();
-                            scope.spawn(move || worker(wid, &done))
-                        })
-                        .collect();
-                    let own = worker(0, &done_tx);
-                    own + handles
-                        .into_iter()
-                        .map(|handle| match handle.join() {
-                            Ok(count) => count,
-                            Err(panic) => std::panic::resume_unwind(panic),
-                        })
-                        .sum::<u64>()
-                });
-                if stolen > 0 {
-                    rec.add(obs::CounterId::StealTasks, stolen);
-                }
-                // `queue` (and the sealed task slices) borrow the sorted
-                // pair buffer; this scope releases them so the reduce and
-                // scheduler below can read `pairs` directly.
-            }
-            drop(done_tx);
-            let mut collected: Vec<Option<TaskOutcome>> = Vec::with_capacity(task_count);
-            collected.resize_with(task_count, || None);
-            for (idx, out) in done_rx {
-                debug_assert!(collected[idx].is_none());
-                collected[idx] = Some(out);
-            }
-            collected
-                .into_iter()
-                .map(|o| o.expect("every task resolves exactly once"))
-                .collect()
-        } else {
+        // Match: the plan's tasks fan out as an indexed map, so the
+        // outcomes land indexed by task id and the reduce below consumes
+        // them in plan order.
+        let outcomes: Vec<TaskOutcome> = {
             let _span = rec.span("device.match");
             let _wall = tr.span("device.match");
             par::map_indexed(threads, plan.task_count(), |t| {
@@ -1003,26 +891,6 @@ mod tests {
             let off = device(config.with_dedup(false)).run(&queries).unwrap();
             assert_eq!(on.results, off.results);
             assert_eq!(on.report, off.report);
-        }
-    }
-
-    #[test]
-    fn fused_and_unfused_produce_identical_output() {
-        let ds = dataset();
-        let queries = probes(&ds, 60);
-        for config in [
-            SieveConfig::type1(),
-            SieveConfig::type2(4),
-            SieveConfig::type3(8),
-        ] {
-            let fused = device(config.clone().with_fused(true).with_threads(4))
-                .run(&queries)
-                .unwrap();
-            let unfused = device(config.with_fused(false).with_threads(4))
-                .run(&queries)
-                .unwrap();
-            assert_eq!(fused.results, unfused.results);
-            assert_eq!(fused.report, unfused.report);
         }
     }
 

@@ -18,18 +18,18 @@
 //! matter how many workers execute it — and from deterministic stream
 //! lengths elsewhere (k-mers extracted, hits produced, transfer sizes).
 //! The contract mirrors the rest of the obs surface: for a fixed
-//! workload, sort policy, and kernel selection, a [`ProfSnapshot`] is
-//! **bit-identical across thread counts** (`tests/prof_determinism.rs`).
+//! workload and kernel selection, a [`ProfSnapshot`] is **bit-identical
+//! across thread counts** (`tests/prof_determinism.rs`).
 //! Parallel execution may *physically* move more bytes (the owned-run
 //! scatter re-scans the source once per worker); the model charges the
 //! canonical sequential traffic, so redundant re-scans show up where they
 //! belong — as a lower achieved-GB/s on the same byte count — rather
 //! than as phantom workload growth. Unlike the deterministic obs
-//! metrics, prof counters *do* vary with the sort policy (the comparison
-//! path runs zero counting passes and is charged zero bytes, because a
-//! comparison sort's traffic is data- and allocator-dependent); that is
-//! why they live here and not in [`crate::obs::CounterId`], whose
-//! snapshots are compared across policies.
+//! metrics, prof counters describe the host sort's plan (a comparison
+//! cutover runs zero counting passes and is charged zero bytes, because
+//! a comparison sort's traffic is data- and allocator-dependent); that
+//! is why they live here and not in [`crate::obs::CounterId`], whose
+//! model metrics describe only the simulated device.
 //!
 //! The global table is recorded into only while the [`crate::obs`]
 //! recorder or the [`crate::trace`] tracer is enabled (the disabled fast

@@ -129,18 +129,15 @@
 //!   cost model built from measured constants (see [`lsd_is_cheaper`],
 //!   calibrated by the `plan_sort` bench) decides between counting
 //!   passes and a comparison sort: tiny segments can't amortize their
-//!   digit tables. [`crate::SortPolicy`] / `SIEVE_SORT` can pin either
-//!   path for A/B runs, and `SieveConfig::sort_narrow` / dedicated
-//!   `SIEVE_SORT_NARROW` pins the narrowing knob.
+//!   digit tables.
 //!
 //! Determinism: every pass is a stable counting scatter whose
 //! destinations are pure functions of the key bits and input ranks, and
 //! segment boundaries depend only on the histogram, so the output equals
 //! a stable sort by key — and, since callers assign ids in input order,
-//! `sort_unstable_by_key` on `(key, id)` — for every policy, narrowing
-//! knob, thread count, and scatter-worker count.
+//! `sort_unstable_by_key` on `(key, id)` — for every thread count and
+//! scatter-worker count.
 
-use crate::config::SortPolicy;
 use crate::obs;
 use crate::par;
 use crate::prof;
@@ -293,13 +290,12 @@ const CMP_NS_X16_PER_KEY_LEVEL: u64 = 36;
 const LSD_NS_X16_PER_KEY_PASS: u64 = 30;
 const LSD_NS_X16_PER_BUCKET_PASS: u64 = 16;
 
-/// The adaptive policy's cost model: predicted counting-pipeline time vs.
+/// The cutover's cost model: predicted counting-pipeline time vs.
 /// predicted comparison time for `n` pairs under `passes`. A pure
 /// function of the batch (never of threads), so the choice — and with it
 /// the output — is identical across thread counts. The model judges the
-/// *wide* plan even when narrowing is on: narrowing is a traffic
-/// optimization of a sort already chosen, so the set of LSD segments
-/// never depends on the narrowing knob.
+/// *wide* plan: narrowing is a traffic optimization of a sort already
+/// chosen, so it never changes which segments run LSD passes.
 fn lsd_is_cheaper(n: usize, passes: &[Pass]) -> bool {
     let n = n as u64;
     let levels = u64::from(64 - n.leading_zeros());
@@ -365,14 +361,11 @@ trait SortRec: Copy + Default + Send + Sync {
     /// This width's staging buffer plus the shared fill/cursor tables of
     /// a scatter worker (split borrows of disjoint fields).
     fn split_stage(ws: &mut WorkerScratch) -> (&mut Vec<Self>, &mut Vec<u32>, &mut Vec<u32>);
+    /// Plans one bucket segment of `m` records whose keys OR-fold to
+    /// `diff` (the planner both the executor and [`predict_traffic`] use).
+    fn plan(m: usize, diff: u64) -> SegPlan;
     /// Sorts one bucket segment, leaving the result in `a`.
-    fn sort_segment(
-        a: &mut [Self],
-        b: &mut [Self],
-        ws: &mut WorkerScratch,
-        policy: SortPolicy,
-        narrow: bool,
-    ) -> SegStats;
+    fn sort_segment(a: &mut [Self], b: &mut [Self], ws: &mut WorkerScratch) -> SegStats;
 }
 
 impl SortRec for Pair {
@@ -387,18 +380,16 @@ impl SortRec for Pair {
         (&mut ws.stage, &mut ws.fill, &mut ws.cursors)
     }
 
-    fn sort_segment(
-        a: &mut [Self],
-        b: &mut [Self],
-        ws: &mut WorkerScratch,
-        policy: SortPolicy,
-        narrow: bool,
-    ) -> SegStats {
+    fn plan(m: usize, diff: u64) -> SegPlan {
+        plan_segment(m, diff)
+    }
+
+    fn sort_segment(a: &mut [Self], b: &mut [Self], ws: &mut WorkerScratch) -> SegStats {
         let m = a.len();
         debug_assert!(m > 1 && b.len() == m);
         let first = a[0].key();
         let diff = a.iter().fold(0u64, |acc, &p| acc | (p.key() ^ first));
-        let plan = plan_segment(m, diff, policy, narrow);
+        let plan = Self::plan(m, diff);
         match &plan {
             SegPlan::Constant => {}
             SegPlan::Comparison => a.sort_unstable_by_key(|p| (p.key(), p.id())),
@@ -429,23 +420,21 @@ impl SortRec for NarrowPair {
         (&mut ws.stage_narrow, &mut ws.fill, &mut ws.cursors)
     }
 
-    /// Already-narrow segments (global narrow path) replan and sort like
-    /// wide ones, minus the second narrowing level. Equal window values
-    /// imply equal full keys here — the global fold fit the window — so
-    /// the comparison fallback's `(window, id)` order is the stable key
-    /// order.
-    fn sort_segment(
-        a: &mut [Self],
-        b: &mut [Self],
-        ws: &mut WorkerScratch,
-        policy: SortPolicy,
-        _narrow: bool,
-    ) -> SegStats {
+    /// Already-narrow segments (global narrow path) replan like wide
+    /// ones, minus the second narrowing level.
+    fn plan(m: usize, diff: u64) -> SegPlan {
+        plan_lsd(m, diff)
+    }
+
+    /// Equal window values imply equal full keys here — the global fold
+    /// fit the window — so the comparison fallback's `(window, id)` order
+    /// is the stable key order.
+    fn sort_segment(a: &mut [Self], b: &mut [Self], ws: &mut WorkerScratch) -> SegStats {
         let m = a.len();
         debug_assert!(m > 1 && b.len() == m);
         let first = a[0].key;
         let diff = a.iter().fold(0u32, |acc, &p| acc | (p.key ^ first));
-        let plan = plan_segment(m, u64::from(diff), policy, false);
+        let plan = Self::plan(m, u64::from(diff));
         match &plan {
             SegPlan::Constant => {}
             SegPlan::Comparison => a.sort_unstable_by_key(|p| (p.key, p.id)),
@@ -474,20 +463,16 @@ fn scatter_workers(threads: usize, n: usize) -> usize {
 /// for every pass count (the ping-pong swaps are O(1) pointer
 /// exchanges). `scratch` is the alternate pass buffer and `ss` holds the
 /// count/staging tables — both retain capacity across calls; `threads`
-/// bounds the per-pass fan-out, `diff` optionally carries the batch's
-/// precomputed OR-fold of `key ^ first_key` (builders that stream every
-/// key anyway compute it for free; `None` recomputes it here), `policy`
-/// picks the pipeline ([`SortPolicy::Adaptive`] applies the measured
-/// cost model), and `narrow` enables the 8-byte narrowed passes. None of
-/// the knobs affect the result.
+/// bounds the per-pass fan-out (it never affects the result), and `diff`
+/// optionally carries the batch's precomputed OR-fold of `key ^ first_key`
+/// (builders that stream every key anyway compute it for free; `None`
+/// recomputes it here).
 pub(crate) fn sort_pairs(
     pairs: &mut Vec<Pair>,
     scratch: &mut Vec<Pair>,
     ss: &mut SortScratch,
     threads: usize,
     diff: Option<u64>,
-    policy: SortPolicy,
-    narrow: bool,
 ) {
     // Histogram/scatter fan-out beyond physical cores is pure overhead
     // (the extra workers serialize the same scans behind spawn and merge
@@ -501,8 +486,6 @@ pub(crate) fn sort_pairs(
         fan,
         scatter_workers(threads, pairs.len()),
         diff,
-        policy,
-        narrow,
     );
 }
 
@@ -511,7 +494,6 @@ pub(crate) fn sort_pairs(
 /// stolen segment sorts on hosts whose physical core count would cap
 /// [`sort_pairs`] to a sequential run. The output is identical for every
 /// `workers` value.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn sort_pairs_with(
     pairs: &mut Vec<Pair>,
     scratch: &mut Vec<Pair>,
@@ -519,8 +501,6 @@ pub(crate) fn sort_pairs_with(
     threads: usize,
     workers: usize,
     diff: Option<u64>,
-    policy: SortPolicy,
-    narrow: bool,
 ) {
     let n = pairs.len();
     if n <= 1 {
@@ -542,7 +522,7 @@ pub(crate) fn sort_pairs_with(
         return;
     }
 
-    let gplan = plan_global(n, diff, policy, narrow);
+    let gplan = plan_global(n, diff);
     if matches!(gplan, GlobalPlan::Comparison) {
         pairs.sort_unstable_by_key(|p| (p.key(), p.id()));
         return;
@@ -566,16 +546,7 @@ pub(crate) fn sort_pairs_with(
             run,
             skipped,
         } => {
-            let local = radix_pipeline(
-                pairs,
-                scratch,
-                ss,
-                hist_workers,
-                workers,
-                &passes[..run],
-                policy,
-                narrow,
-            );
+            let local = radix_pipeline(pairs, scratch, ss, hist_workers, workers, &passes[..run]);
             (skipped, local)
         }
         GlobalPlan::Narrow {
@@ -606,16 +577,8 @@ pub(crate) fn sort_pairs_with(
                     n as u64,
                 );
             }
-            let local = radix_pipeline(
-                &mut nv,
-                &mut nsc,
-                ss,
-                hist_workers,
-                workers,
-                &passes[..run],
-                policy,
-                false,
-            );
+            let local =
+                radix_pipeline(&mut nv, &mut nsc, ss, hist_workers, workers, &passes[..run]);
             {
                 let _span = obs::span("sort.narrow");
                 let _wall = trace::span("sort.narrow");
@@ -644,9 +607,9 @@ pub(crate) fn sort_pairs_with(
 }
 
 /// The whole-batch decision: comparison fallback, wide pipeline, or the
-/// globally narrowed pipeline. A pure function of `(n, diff, policy,
-/// narrow)` shared by [`sort_pairs_with`] and [`predict_traffic`], so
-/// the executed charges and the analytic prediction cannot drift.
+/// globally narrowed pipeline. A pure function of `(n, diff)` shared by
+/// [`sort_pairs_with`] and [`predict_traffic`], so the executed charges
+/// and the analytic prediction cannot drift.
 enum GlobalPlan {
     Comparison,
     Wide {
@@ -662,19 +625,14 @@ enum GlobalPlan {
     },
 }
 
-fn plan_global(n: usize, diff: u64, policy: SortPolicy, narrow: bool) -> GlobalPlan {
+fn plan_global(n: usize, diff: u64) -> GlobalPlan {
     let (passes, run, skipped) = plan_passes(diff, MAX_DIGIT_BITS);
-    let lsd = match policy {
-        SortPolicy::Lsd => true,
-        SortPolicy::Comparison => false,
-        SortPolicy::Adaptive => lsd_is_cheaper(n, &passes[..run]),
-    };
-    if !lsd {
+    if !lsd_is_cheaper(n, &passes[..run]) {
         return GlobalPlan::Comparison;
     }
     let lo = diff.trailing_zeros();
     let hi = 64 - diff.leading_zeros();
-    if narrow && hi - lo <= 32 {
+    if hi - lo <= 32 {
         // Replanned over the shifted fold so every pass window is
         // window-relative; the digit structure (and so the bucket
         // boundaries) is the wide plan's, shifted.
@@ -699,7 +657,6 @@ fn plan_global(n: usize, diff: u64, policy: SortPolicy, narrow: bool) -> GlobalP
 /// scatter, segment deal — is identical for both record widths; the
 /// analytic charges scale by `R::BYTES`. Returns the local phase's
 /// [`SegStats`].
-#[allow(clippy::too_many_arguments)]
 fn radix_pipeline<R: SortRec>(
     pairs: &mut Vec<R>,
     scratch: &mut Vec<R>,
@@ -707,8 +664,6 @@ fn radix_pipeline<R: SortRec>(
     hist_workers: usize,
     workers: usize,
     plan: &[Pass],
-    policy: SortPolicy,
-    narrow: bool,
 ) -> SegStats {
     let n = pairs.len();
     if scratch.len() < n {
@@ -792,15 +747,7 @@ fn radix_pipeline<R: SortRec>(
     if run_len > 1 {
         let _span = obs::span("sort.local");
         let _wall = trace::span("sort.local");
-        local = sort_segments(
-            pairs,
-            scratch,
-            &ss.starts,
-            workers,
-            &mut ss.workers,
-            policy,
-            narrow,
-        );
+        local = sort_segments(pairs, scratch, &ss.starts, workers, &mut ss.workers);
         prof::record(
             prof::Phase::SortLocal,
             local.read,
@@ -849,10 +796,10 @@ impl SegStats {
     }
 }
 
-/// One bucket segment's plan: a pure function of `(m, diff fold, policy,
-/// narrow)` shared by the executor ([`SortRec::sort_segment`]) and the
-/// predictor ([`predict_traffic`]), so the two derive byte-identical
-/// traffic by construction.
+/// One bucket segment's plan: a pure function of `(m, diff fold)` and the
+/// record width ([`SortRec::plan`]), shared by the executor
+/// ([`SortRec::sort_segment`]) and the predictor ([`predict_traffic`]),
+/// so the two derive byte-identical traffic by construction.
 enum SegPlan {
     /// All keys equal — the stable global order is already sorted.
     Constant,
@@ -876,75 +823,84 @@ enum SegPlan {
     },
 }
 
-fn plan_segment(m: usize, diff: u64, policy: SortPolicy, narrow: bool) -> SegPlan {
+/// Digit width of a segment replan: it tracks the segment size (table ≈
+/// one entry per pair) — an oversized table spends more on zeroing and
+/// prefix-summing than its fewer passes save, an undersized one
+/// multiplies passes.
+fn segment_width(m: usize) -> u32 {
+    (usize::BITS - 1 - m.leading_zeros()).clamp(MIN_DIGIT_BITS, MAX_DIGIT_BITS)
+}
+
+/// A segment plan at the record's own width: constant, comparison below
+/// the cost model's crossover, or LSD passes.
+fn plan_lsd(m: usize, diff: u64) -> SegPlan {
     if diff == 0 {
         return SegPlan::Constant;
     }
-    // Digit width tracks the segment size (table ≈ one entry per pair):
-    // an oversized table spends more on zeroing and prefix-summing than
-    // its fewer passes save, an undersized one multiplies passes.
-    let width = (usize::BITS - 1 - m.leading_zeros()).clamp(MIN_DIGIT_BITS, MAX_DIGIT_BITS);
-    let (passes, run, skipped) = plan_passes(diff, width);
-    let lsd = match policy {
-        SortPolicy::Comparison => false,
-        SortPolicy::Lsd => true,
-        SortPolicy::Adaptive => lsd_is_cheaper(m, &passes[..run]),
-    };
-    if !lsd {
+    let (passes, run, skipped) = plan_passes(diff, segment_width(m));
+    if !lsd_is_cheaper(m, &passes[..run]) {
         return SegPlan::Comparison;
-    }
-    if narrow {
-        let lo = diff.trailing_zeros();
-        let hi = 64 - diff.leading_zeros();
-        let span = hi - lo;
-        // Closed-form byte totals (per pair; see seg_traffic): the wide
-        // plan moves 12m per scan (one fused count scan + r scatter
-        // read/write scans + the odd pre-copy), a narrowed one 8m plus
-        // the repack/emit extras. The repack fuses into the first
-        // scatter and the emit into the last, so narrowing needs ≥ 2
-        // passes. Three window candidates compete on that byte total:
-        // the exact window (every varying bit, no tie machinery), the
-        // full 32-bit tie window (most varying bits resolved by
-        // passes), and a minimal tie window of ~log₂ m + slack bits —
-        // just wide enough that same-window collisions stay rare
-        // (~m/256 expected), leaving the rest to the fixup scan at a
-        // fraction of the passes. Strictly-lower cost switches
-        // candidates, so the choice is a pure function of (m, diff).
-        let wide_bytes = 24 * run as u64 + 12 + 24 * u64::from(run % 2 == 1);
-        let mut best: Option<(u64, u32, bool, [Pass; MAX_PASSES], usize, u64)> = None;
-        let mut consider = |win_lo: u32, ties: bool| {
-            let (p, r, s) = plan_passes(diff >> win_lo, width);
-            if r < 2 {
-                return;
-            }
-            let bytes = 16 * r as u64 + if ties { 56 } else { 20 };
-            if bytes < wide_bytes && best.as_ref().is_none_or(|b| bytes < b.0) {
-                best = Some((bytes, win_lo, ties, p, r, s));
-            }
-        };
-        if span <= 32 {
-            consider(lo, false);
-        } else {
-            consider(hi - 32, true);
-        }
-        let w_min = (usize::BITS - 1 - m.leading_zeros() + TIE_WINDOW_SLACK).min(32);
-        if w_min < span {
-            consider(hi - w_min, true);
-        }
-        if let Some((_, win_lo, ties, passes, nrun, nskipped)) = best {
-            return SegPlan::Narrowed {
-                win_lo,
-                ties,
-                passes,
-                run: nrun,
-                skipped: nskipped,
-            };
-        }
     }
     SegPlan::Lsd {
         passes,
         run,
         skipped,
+    }
+}
+
+/// A wide segment's plan: [`plan_lsd`], then narrowed to 8-byte records
+/// whenever a 32-bit window moves fewer bytes than the wide passes.
+fn plan_segment(m: usize, diff: u64) -> SegPlan {
+    let plan = plan_lsd(m, diff);
+    let SegPlan::Lsd { run, .. } = plan else {
+        return plan;
+    };
+    let width = segment_width(m);
+    let lo = diff.trailing_zeros();
+    let hi = 64 - diff.leading_zeros();
+    let span = hi - lo;
+    // Closed-form byte totals (per pair; see seg_traffic): the wide plan
+    // moves 12m per scan (one fused count scan + r scatter read/write
+    // scans + the odd pre-copy), a narrowed one 8m plus the repack/emit
+    // extras. The repack fuses into the first scatter and the emit into
+    // the last, so narrowing needs ≥ 2 passes. Three window candidates
+    // compete on that byte total: the exact window (every varying bit, no
+    // tie machinery), the full 32-bit tie window (most varying bits
+    // resolved by passes), and a minimal tie window of ~log₂ m + slack
+    // bits — just wide enough that same-window collisions stay rare
+    // (~m/256 expected), leaving the rest to the fixup scan at a fraction
+    // of the passes. Strictly-lower cost switches candidates, so the
+    // choice is a pure function of (m, diff).
+    let wide_bytes = 24 * run as u64 + 12 + 24 * u64::from(run % 2 == 1);
+    let mut best: Option<(u64, u32, bool, [Pass; MAX_PASSES], usize, u64)> = None;
+    let mut consider = |win_lo: u32, ties: bool| {
+        let (p, r, s) = plan_passes(diff >> win_lo, width);
+        if r < 2 {
+            return;
+        }
+        let bytes = 16 * r as u64 + if ties { 56 } else { 20 };
+        if bytes < wide_bytes && best.as_ref().is_none_or(|b| bytes < b.0) {
+            best = Some((bytes, win_lo, ties, p, r, s));
+        }
+    };
+    if span <= 32 {
+        consider(lo, false);
+    } else {
+        consider(hi - 32, true);
+    }
+    let w_min = (usize::BITS - 1 - m.leading_zeros() + TIE_WINDOW_SLACK).min(32);
+    if w_min < span {
+        consider(hi - w_min, true);
+    }
+    match best {
+        Some((_, win_lo, ties, passes, run, skipped)) => SegPlan::Narrowed {
+            win_lo,
+            ties,
+            passes,
+            run,
+            skipped,
+        },
+        None => plan,
     }
 }
 
@@ -1233,15 +1189,12 @@ fn scatter_run<R: SortRec>(
 /// [`par::StealQueue`] of disjoint `(pairs, scratch)` segment slices
 /// dealt round-robin. Returns the summed [`SegStats`] — plain integer
 /// sums, so identical for any worker count or steal interleaving.
-#[allow(clippy::too_many_arguments)]
 fn sort_segments<R: SortRec>(
     pairs: &mut [R],
     scratch: &mut [R],
     starts: &[u32],
     workers: usize,
     pool: &mut [WorkerScratch],
-    policy: SortPolicy,
-    narrow: bool,
 ) -> SegStats {
     let n = pairs.len();
     let buckets = starts.len();
@@ -1262,8 +1215,6 @@ fn sort_segments<R: SortRec>(
                     &mut pairs[lo..hi],
                     &mut scratch[lo..hi],
                     ws,
-                    policy,
-                    narrow,
                 ));
             }
         }
@@ -1274,7 +1225,7 @@ fn sort_segments<R: SortRec>(
     // inevitable heavy buckets. Each queue item carries the segment's
     // disjoint slices of both buffers, so no worker ever touches another
     // worker's indices.
-    let mut queue = par::StealQueue::new(workers, true);
+    let mut queue = par::StealQueue::new(workers);
     {
         let (mut rest_a, mut rest_b) = (pairs, scratch);
         let mut dealt = 0usize;
@@ -1298,8 +1249,8 @@ fn sort_segments<R: SortRec>(
             let totals = &totals;
             scope.spawn(move || {
                 let mut acc = SegStats::default();
-                while let Some(((seg_a, seg_b), _stolen)) = queue.pop(w) {
-                    acc.merge(R::sort_segment(seg_a, seg_b, ws, policy, narrow));
+                while let Some((seg_a, seg_b)) = queue.pop(w) {
+                    acc.merge(R::sort_segment(seg_a, seg_b, ws));
                 }
                 let order = std::sync::atomic::Ordering::Relaxed;
                 totals[0].fetch_add(acc.run, order);
@@ -1506,8 +1457,7 @@ fn narrow_segment(
 }
 
 /// Predicts the analytic traffic [`sort_pairs`] will charge to
-/// [`crate::prof`] for `keys` under `policy` and the `narrow` knob,
-/// **without sorting**: the planner's decisions (pass plan, adaptive
+/// [`crate::prof`] for `keys`, **without sorting**: the planner's decisions (pass plan, adaptive
 /// cutover, global and per-segment narrowing, per-segment replans) are
 /// re-derived from the key stream alone, through the same
 /// [`plan_global`]/[`plan_segment`]/[`seg_traffic`] functions the
@@ -1518,11 +1468,7 @@ fn narrow_segment(
 /// `tests/prof_traffic.rs`: the recorded charges come from the executed
 /// pipeline, this prediction from the formulas, and the two must agree
 /// on arbitrary inputs.
-pub(crate) fn predict_traffic(
-    keys: &[u64],
-    policy: SortPolicy,
-    narrow: bool,
-) -> [(prof::Phase, prof::Traffic); 5] {
+pub(crate) fn predict_traffic(keys: &[u64]) -> [(prof::Phase, prof::Traffic); 5] {
     use prof::{Phase, Traffic};
     let mut out = [
         (Phase::SortHist, Traffic::default()),
@@ -1540,18 +1486,10 @@ pub(crate) fn predict_traffic(
     if diff == 0 {
         return out;
     }
-    match plan_global(n, diff, policy, narrow) {
+    match plan_global(n, diff) {
         GlobalPlan::Comparison => {}
         GlobalPlan::Wide { passes, run, .. } => {
-            predict_pipeline(
-                keys,
-                |k| k,
-                PAIR_BYTES,
-                &passes[..run],
-                policy,
-                narrow,
-                &mut out,
-            );
+            predict_pipeline::<Pair>(keys, |k| k, &passes[..run], &mut out);
         }
         GlobalPlan::Narrow {
             lo, passes, run, ..
@@ -1564,13 +1502,10 @@ pub(crate) fn predict_traffic(
                 bytes_written: nb * (NARROW_BYTES + PAIR_BYTES),
                 items: 2 * nb,
             };
-            predict_pipeline(
+            predict_pipeline::<NarrowPair>(
                 keys,
                 move |k| u64::from((k >> lo) as u32),
-                NARROW_BYTES,
                 &passes[..run],
-                policy,
-                false,
                 &mut out,
             );
         }
@@ -1579,20 +1514,17 @@ pub(crate) fn predict_traffic(
 }
 
 /// Shared body of [`predict_traffic`]: charges the global pass and the
-/// per-segment replans at `elem` bytes per record over the mapped key
-/// stream (identity for the wide pipeline, the shifted 32-bit window for
-/// the globally narrowed one).
-#[allow(clippy::too_many_arguments)]
-fn predict_pipeline(
+/// per-segment replans of record type `R` over the mapped key stream
+/// (identity for the wide pipeline, the shifted 32-bit window for the
+/// globally narrowed one).
+fn predict_pipeline<R: SortRec>(
     keys: &[u64],
     map: impl Fn(u64) -> u64,
-    elem: u64,
     plan: &[Pass],
-    policy: SortPolicy,
-    narrow: bool,
     out: &mut [(prof::Phase, prof::Traffic); 5],
 ) {
     use prof::Traffic;
+    let elem = R::BYTES;
     let n = keys.len();
     let run_len = plan.len();
     let top = plan[run_len - 1];
@@ -1634,7 +1566,7 @@ fn predict_pipeline(
             if m <= 1 {
                 continue;
             }
-            local.merge(seg_traffic(&plan_segment(m, sd, policy, narrow), c, elem));
+            local.merge(seg_traffic(&R::plan(m, sd), c, elem));
         }
         out[3].1 = Traffic {
             bytes_read: local.read,
@@ -1649,31 +1581,25 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const POLICIES: [SortPolicy; 3] = [
-        SortPolicy::Adaptive,
-        SortPolicy::Lsd,
-        SortPolicy::Comparison,
-    ];
-
     fn reference_sort(pairs: &[Pair]) -> Vec<Pair> {
         let mut v = pairs.to_vec();
         v.sort_by_key(|p| p.key()); // stable: ties keep input order
         v
     }
 
-    fn sorted(input: &[Pair], threads: usize, policy: SortPolicy, narrow: bool) -> Vec<Pair> {
+    fn sorted(input: &[Pair], threads: usize) -> Vec<Pair> {
         let mut pairs = input.to_vec();
         let mut scratch = Vec::new();
         let mut ss = SortScratch::default();
-        sort_pairs(
-            &mut pairs,
-            &mut scratch,
-            &mut ss,
-            threads,
-            None,
-            policy,
-            narrow,
-        );
+        sort_pairs(&mut pairs, &mut scratch, &mut ss, threads, None);
+        pairs
+    }
+
+    /// [`sort_pairs_with`] at an explicit scatter/segment fan-out.
+    fn sorted_with(input: &[Pair], threads: usize, workers: usize) -> Vec<Pair> {
+        let mut pairs = input.to_vec();
+        let (mut scratch, mut ss) = (Vec::new(), SortScratch::default());
+        sort_pairs_with(&mut pairs, &mut scratch, &mut ss, threads, workers, None);
         pairs
     }
 
@@ -1709,94 +1635,70 @@ mod tests {
     }
 
     #[test]
-    fn matches_stable_reference_across_sizes_threads_and_policies() {
+    fn matches_stable_reference_across_sizes_and_threads() {
         for &n in &[0usize, 1, 2, 100, 2_047, 2_048, 40_000] {
-            for &mask in &[u64::MAX, 0x3FFF_FFFF_FFFF_FFFF, 0xFF00, 0xFF] {
+            for &mask in &[
+                u64::MAX,
+                0x3FFF_FFFF_FFFF_FFFF,
+                0x7FFF_FFFF_8000_0000, // 32-bit window at hi=63: segment ties
+                0xFF00,
+                0xFF,
+            ] {
                 let input = pseudo_random_pairs(n, mask, 42 + n as u64);
                 let expected = reference_sort(&input);
                 for threads in [1, 2, 4, 7] {
-                    for policy in POLICIES {
-                        for narrow in [false, true] {
-                            assert_eq!(
-                                sorted(&input, threads, policy, narrow),
-                                expected,
-                                "n={n} mask={mask:#x} threads={threads} policy={policy:?} narrow={narrow}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The adversarial narrowing grid: masks that pin each narrow shape
-    /// — bit 63 set (tie-ranked window at the very top), a window
-    /// straddling the 32-bit boundary (exact, global narrow at lo=20),
-    /// a full-span fold (tie-ranked), a fully narrow fold (global
-    /// narrow), and a one-giant-bucket skew. Narrow and wide runs must
-    /// be byte-identical to each other and to the stable reference for
-    /// every policy and thread count.
-    #[test]
-    fn narrow_and_wide_paths_are_byte_identical() {
-        let masks: &[u64] = &[
-            0x8000_0000_0000_00FF, // bit 63 set, sparse low bits
-            0x0000_00FF_FFF0_0000, // bits 20..40: straddles the u32 boundary
-            u64::MAX,              // full span: tie-ranked segments
-            0xFFFF_FFFF,           // fits 32 bits: global narrow
-            0x7FFF_FFFF_8000_0000, // 32-bit window at hi=63: segment ties
-        ];
-        for &mask in masks {
-            let input = pseudo_random_pairs(30_000, mask, 0xC0FFEE ^ mask);
-            let expected = reference_sort(&input);
-            for threads in [1, 4] {
-                for policy in POLICIES {
-                    let wide = sorted(&input, threads, policy, false);
-                    let narrow = sorted(&input, threads, policy, true);
                     assert_eq!(
-                        wide, expected,
-                        "wide mask={mask:#x} threads={threads} {policy:?}"
+                        sorted(&input, threads),
+                        expected,
+                        "n={n} mask={mask:#x} threads={threads}"
                     );
-                    assert_eq!(narrow, wide, "mask={mask:#x} threads={threads} {policy:?}");
                 }
             }
         }
-        // One giant bucket: ~95% of keys share a top digit and a 48-bit
-        // tail span, so the heavy segment takes the tie-ranked path.
-        let input: Vec<Pair> = pseudo_random_pairs(30_000, u64::MAX, 99)
-            .into_iter()
-            .map(|p| {
-                if p.id() % 20 != 0 {
-                    Pair::new((p.key() & 0xFFFF_FFFF_FFFF) | 0x3A00_0000_0000_0000, p.id())
-                } else {
-                    p
-                }
-            })
-            .collect();
-        let expected = reference_sort(&input);
-        for threads in [1, 4] {
-            assert_eq!(
-                sorted(&input, threads, SortPolicy::Lsd, true),
-                expected,
-                "giant bucket"
-            );
-        }
     }
 
-    /// The planner's narrowing rule: exact below 32 bits of span,
-    /// tie-ranked above, comparison or wide where narrowing can't pay.
+    /// Every plan the cost model can choose is reachable from the pure
+    /// planners on plain inputs — no override forces any of them — so
+    /// the executor tests below can target each path by shaping keys.
     #[test]
-    fn plan_segment_narrowing_rule() {
+    fn planner_reaches_every_plan_without_an_override() {
+        // Global: a tiny batch compares, a full-span batch runs the wide
+        // pipeline, a fold that fits 32 bits narrows up front (at its
+        // trailing zeros, here straddling the u32 boundary).
+        assert!(matches!(plan_global(100, u64::MAX), GlobalPlan::Comparison));
+        assert!(matches!(
+            plan_global(40_000, u64::MAX),
+            GlobalPlan::Wide { .. }
+        ));
+        match plan_global(40_000, 0xFF_FFF0_0000) {
+            GlobalPlan::Narrow { lo, .. } => assert_eq!(lo, 20),
+            _ => panic!("a 20-bit fold must narrow globally"),
+        }
+
         let m = 40_000;
+        assert!(matches!(plan_segment(m, 0), SegPlan::Constant));
+        // Below the crossover a segment can't amortize its digit tables.
+        assert!(matches!(plan_segment(15, u64::MAX), SegPlan::Comparison));
+        // A single-pass plan cannot fuse repack and emit: stays wide.
+        assert!(matches!(plan_segment(64, 0xF0), SegPlan::Lsd { .. }));
+        // A sparse bit-63 mask that plans only two wide passes stays
+        // wide: the single runnable narrow pass cannot fuse repack and
+        // emit, and the tie extras would cost more than they save.
+        assert!(matches!(
+            plan_segment(m, 0x8000_0000_0000_00FF),
+            SegPlan::Lsd { .. }
+        ));
         // 20-bit span: exact window at the fold's trailing zeros.
-        match plan_segment(m, 0xF_FFFF_0000, SortPolicy::Lsd, true) {
+        match plan_segment(m, 0xF_FFFF_0000) {
             SegPlan::Narrowed { win_lo, ties, .. } => {
                 assert_eq!(win_lo, 16);
                 assert!(!ties);
             }
             _ => panic!("20-bit span must narrow exactly"),
         }
-        // Full span: the window covers the top 32 varying bits.
-        match plan_segment(m, u64::MAX, SortPolicy::Lsd, true) {
+        // Full span: the window covers the top 32 varying bits (the
+        // minimal window needs as many passes, so it does not win).
+        match plan_segment(m, u64::MAX) {
             SegPlan::Narrowed { win_lo, ties, .. } => {
                 assert_eq!(win_lo, 32);
                 assert!(ties);
@@ -1806,59 +1708,28 @@ mod tests {
         // Bit 63 set with a gap: window is [hi-32, hi) = [32, 64). Four
         // wide passes (digits 0, 2, 3, 5) against two narrow ones — the
         // diet pays even with the tie-rank extras.
-        match plan_segment(m, 0x8000_00FF_0000_00FF, SortPolicy::Lsd, true) {
+        match plan_segment(m, 0x8000_00FF_0000_00FF) {
             SegPlan::Narrowed { win_lo, ties, .. } => {
                 assert_eq!(win_lo, 32);
                 assert!(ties);
             }
             _ => panic!("bit-63 span must narrow with tie ranks"),
         }
-        // A sparse bit-63 mask that plans only two wide passes stays
-        // wide: the single runnable narrow pass cannot fuse repack and
-        // emit, and the tie extras would cost more than they save.
+        // A 48-bit span over 3,840 records: the minimal window of
+        // log₂ m + slack = 19 bits needs one pass fewer than the full
+        // 32-bit one, so it wins.
+        match plan_segment(3_840, 0xFFFF_FFFF_FFFF) {
+            SegPlan::Narrowed { win_lo, ties, .. } => {
+                assert_eq!(win_lo, 48 - 19);
+                assert!(ties);
+            }
+            _ => panic!("48-bit span must take the minimal tie window"),
+        }
+        // Records that are already narrow never re-narrow.
         assert!(matches!(
-            plan_segment(m, 0x8000_0000_0000_00FF, SortPolicy::Lsd, true),
+            NarrowPair::plan(m, 0xFFFF_FFFF),
             SegPlan::Lsd { .. }
         ));
-        // Knob off: same fold plans wide.
-        assert!(matches!(
-            plan_segment(m, u64::MAX, SortPolicy::Lsd, false),
-            SegPlan::Lsd { .. }
-        ));
-        // Comparison policy never narrows.
-        assert!(matches!(
-            plan_segment(m, u64::MAX, SortPolicy::Comparison, true),
-            SegPlan::Comparison
-        ));
-        // A single-pass plan cannot fuse repack and emit: stays wide.
-        assert!(matches!(
-            plan_segment(64, 0xF0, SortPolicy::Lsd, true),
-            SegPlan::Lsd { .. }
-        ));
-    }
-
-    /// The global narrow path engages exactly when the whole fold fits
-    /// 32 bits, and its predicted traffic moves to 8-byte units.
-    #[test]
-    fn global_narrow_engages_on_32_bit_folds() {
-        let keys: Vec<u64> = pseudo_random_pairs(40_000, 0xFFFF_FFFF, 5)
-            .iter()
-            .map(|p| p.key())
-            .collect();
-        let narrow = predict_traffic(&keys, SortPolicy::Lsd, true);
-        let wide = predict_traffic(&keys, SortPolicy::Lsd, false);
-        assert_eq!(narrow[4].1.items, 2 * keys.len() as u64, "repack + widen");
-        assert_eq!(narrow[0].1.bytes_read, keys.len() as u64 * NARROW_BYTES);
-        assert_eq!(wide[4].1, prof::Traffic::default());
-        assert_eq!(wide[0].1.bytes_read, keys.len() as u64 * PAIR_BYTES);
-        // Wide span: no global narrowing even with the knob on.
-        let keys: Vec<u64> = pseudo_random_pairs(40_000, u64::MAX, 6)
-            .iter()
-            .map(|p| p.key())
-            .collect();
-        let t = predict_traffic(&keys, SortPolicy::Lsd, true);
-        assert_eq!(t[4].1, prof::Traffic::default());
-        assert_eq!(t[0].1.bytes_read, keys.len() as u64 * PAIR_BYTES);
     }
 
     #[test]
@@ -1871,13 +1742,7 @@ mod tests {
             .collect();
         let expected = reference_sort(&input);
         for threads in [1, 4] {
-            for narrow in [false, true] {
-                assert_eq!(
-                    sorted(&input, threads, SortPolicy::Lsd, narrow),
-                    expected,
-                    "threads={threads} narrow={narrow}"
-                );
-            }
+            assert_eq!(sorted(&input, threads), expected, "threads={threads}");
         }
     }
 
@@ -1915,26 +1780,7 @@ mod tests {
             .collect();
         let expected = reference_sort(&input);
         for threads in [1, 4] {
-            for policy in POLICIES {
-                for narrow in [false, true] {
-                    assert_eq!(
-                        sorted(&input, threads, policy, narrow),
-                        expected,
-                        "{policy:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn duplicate_keys_preserve_input_order() {
-        // All keys equal: stability demands untouched input order.
-        let input: Vec<Pair> = (0..10_000).map(|i| Pair::new(7, i as u32)).collect();
-        for policy in POLICIES {
-            for narrow in [false, true] {
-                assert_eq!(sorted(&input, 4, policy, narrow), input, "{policy:?}");
-            }
+            assert_eq!(sorted(&input, threads), expected, "threads={threads}");
         }
     }
 
@@ -1943,15 +1789,7 @@ mod tests {
         let mut ss = SortScratch::default();
         let mut scratch = Vec::new();
         let mut pairs = pseudo_random_pairs(30_000, u64::MAX, 1);
-        sort_pairs(
-            &mut pairs,
-            &mut scratch,
-            &mut ss,
-            2,
-            None,
-            SortPolicy::Lsd,
-            true,
-        );
+        sort_pairs(&mut pairs, &mut scratch, &mut ss, 2, None);
         assert!(scratch.capacity() >= 30_000);
         // The global-pass swap trades the two buffers, so measure the
         // pair: a second, smaller sort must keep serving from the two
@@ -1959,15 +1797,7 @@ mod tests {
         let total = pairs.capacity() + scratch.capacity();
         pairs.clear();
         pairs.extend(pseudo_random_pairs(20_000, u64::MAX, 2));
-        sort_pairs(
-            &mut pairs,
-            &mut scratch,
-            &mut ss,
-            2,
-            None,
-            SortPolicy::Lsd,
-            true,
-        );
+        sort_pairs(&mut pairs, &mut scratch, &mut ss, 2, None);
         assert_eq!(
             pairs.capacity() + scratch.capacity(),
             total,
@@ -1990,42 +1820,14 @@ mod tests {
             (PARALLEL_SORT, 0x3_0000_0000_0000u64),
         ] {
             let input = pseudo_random_pairs(n, mask, 7 + n as u64);
-            for narrow in [false, true] {
-                let mut seq = input.clone();
-                let (mut scratch, mut ss) = (Vec::new(), SortScratch::default());
-                sort_pairs_with(
-                    &mut seq,
-                    &mut scratch,
-                    &mut ss,
-                    1,
-                    1,
-                    None,
-                    SortPolicy::Lsd,
-                    narrow,
-                );
+            let seq = sorted_with(&input, 1, 1);
+            assert_eq!(seq, reference_sort(&input), "sequential n={n}");
+            for workers in [2usize, 3, 4, 8] {
                 assert_eq!(
+                    sorted_with(&input, 4, workers),
                     seq,
-                    reference_sort(&input),
-                    "sequential n={n} narrow={narrow}"
+                    "n={n} mask={mask:#x} workers={workers}"
                 );
-                for workers in [2usize, 3, 4, 8] {
-                    let mut pairs = input.clone();
-                    let (mut scratch, mut ss) = (Vec::new(), SortScratch::default());
-                    sort_pairs_with(
-                        &mut pairs,
-                        &mut scratch,
-                        &mut ss,
-                        4,
-                        workers,
-                        None,
-                        SortPolicy::Lsd,
-                        narrow,
-                    );
-                    assert_eq!(
-                        pairs, seq,
-                        "n={n} mask={mask:#x} workers={workers} narrow={narrow}"
-                    );
-                }
             }
         }
     }
@@ -2050,77 +1852,173 @@ mod tests {
             .collect();
         let expected = reference_sort(&input);
         for threads in [2, 4, 8] {
-            for policy in POLICIES {
-                for narrow in [false, true] {
-                    assert_eq!(
-                        sorted(&input, threads, policy, narrow),
-                        expected,
-                        "threads={threads} {policy:?} narrow={narrow}"
+            assert_eq!(sorted(&input, threads), expected, "threads={threads}");
+        }
+        for workers in [2, 5, 8] {
+            assert_eq!(
+                sorted_with(&input, 4, workers),
+                expected,
+                "workers={workers}"
+            );
+        }
+    }
+
+    /// Records per adversarial batch: large enough that every shape
+    /// below clears the cost model's crossover on its targeted path.
+    const ADV_N: usize = 4_096;
+
+    /// The adversarial key shapes, each aimed at one planner path.
+    const SHAPES: [&str; 5] = [
+        "sparse_bit63",
+        "straddle_u32",
+        "giant_bucket",
+        "fits_u32",
+        "all_duplicate",
+    ];
+
+    fn shaped(shape: &str, seed: u64) -> Vec<Pair> {
+        pseudo_random_pairs(ADV_N, u64::MAX, seed)
+            .into_iter()
+            .map(|p| {
+                let (i, r) = (u64::from(p.id()), p.key());
+                let key = match shape {
+                    // Bit 63 splits the batch in two; each half varies
+                    // only in its low byte.
+                    "sparse_bit63" => (i % 2) << 63 | (r & 0xFF),
+                    // Bit 63 again, over a 20-bit span across bit 32.
+                    "straddle_u32" => (i % 2) << 63 | (r & 0xFF_FFF0_0000),
+                    // Every 16th key owns a top digit of its own; the
+                    // rest share digit 0x7FF over a 48-bit tail.
+                    "giant_bucket" => {
+                        (if i % 16 == 0 { i / 16 } else { 0x7FF }) << 53 | (r & 0xFFFF_FFFF_FFFF)
+                    }
+                    "fits_u32" => r & 0xFFFF_FFFF,
+                    "all_duplicate" => seed,
+                    other => unreachable!("unknown shape {other}"),
+                };
+                Pair::new(key, p.id())
+            })
+            .collect()
+    }
+
+    /// Asserts, from the predictor alone, that `shape` takes its target
+    /// path: the closed-form traffic of that path (see [`seg_traffic`]).
+    fn assert_target_path(shape: &str, keys: &[u64]) {
+        use prof::Traffic;
+        let t = |bytes_read: u64, bytes_written: u64, items: u64| Traffic {
+            bytes_read,
+            bytes_written,
+            items,
+        };
+        let p = predict_traffic(keys);
+        let (hist, local, narrow) = (p[0].1, p[3].1, p[4].1);
+        let n = keys.len() as u64;
+        match shape {
+            // Global wide pass; both 2,048-record halves replan to one
+            // wide LSD pass (SegPlan::Lsd, r = 1, odd pre-copy).
+            "sparse_bit63" => {
+                assert_eq!(hist.bytes_read, n * PAIR_BYTES, "{shape}");
+                assert_eq!(narrow, Traffic::default(), "{shape}");
+                assert_eq!(local, t(36 * n, 24 * n, n), "{shape}");
+            }
+            // Global wide pass; both halves narrow to the exact window
+            // (SegPlan::Narrowed { ties: false }, r = 2).
+            "straddle_u32" => {
+                assert_eq!(narrow, Traffic::default(), "{shape}");
+                assert_eq!(local, t(32 * n, 20 * n, n), "{shape}");
+            }
+            // The fringe keys are singleton buckets; the giant segment
+            // takes the minimal tie window (SegPlan::Narrowed
+            // { ties: true }, r = 2).
+            "giant_bucket" => {
+                let m = n - n / 16;
+                assert_eq!(narrow, Traffic::default(), "{shape}");
+                assert_eq!(local, t(56 * m, 32 * m, m), "{shape}");
+            }
+            // GlobalPlan::Narrow: 8-byte global pass plus repack/widen.
+            "fits_u32" => {
+                assert_eq!(hist.bytes_read, n * NARROW_BYTES, "{shape}");
+                assert_eq!(
+                    narrow,
+                    t(
+                        n * (PAIR_BYTES + NARROW_BYTES),
+                        n * (NARROW_BYTES + PAIR_BYTES),
+                        2 * n
+                    ),
+                    "{shape}"
+                );
+            }
+            // A zero fold returns before planning: nothing is charged.
+            "all_duplicate" => {
+                assert!(p.iter().all(|(_, t)| *t == Traffic::default()), "{shape}");
+            }
+            other => unreachable!("unknown shape {other}"),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The production sort ≡ the stable reference on every
+        /// adversarial shape, at threads {1, 2, 4} and at the forced
+        /// parallel-scatter seam, with the predictor confirming that
+        /// each shape reached the path it targets.
+        #[test]
+        fn adversarial_shapes_sort_exactly_on_their_target_path(seed in any::<u64>()) {
+            for shape in SHAPES {
+                let input = shaped(shape, seed);
+                let keys: Vec<u64> = input.iter().map(|p| p.key()).collect();
+                assert_target_path(shape, &keys);
+                let expected = reference_sort(&input);
+                for threads in [1usize, 2, 4] {
+                    prop_assert_eq!(&sorted(&input, threads), &expected, "{} threads={}", shape, threads);
+                    prop_assert_eq!(
+                        &sorted_with(&input, threads, threads),
+                        &expected,
+                        "{} workers={}",
+                        shape,
+                        threads
                     );
                 }
             }
-        }
-        for workers in [2, 5, 8] {
-            let mut pairs = input.clone();
-            let (mut scratch, mut ss) = (Vec::new(), SortScratch::default());
-            sort_pairs_with(
-                &mut pairs,
-                &mut scratch,
-                &mut ss,
-                4,
-                workers,
-                None,
-                SortPolicy::Lsd,
-                true,
-            );
-            assert_eq!(pairs, expected, "workers={workers}");
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Counting pipeline ≡ stable comparison sort on arbitrary
+        /// The production sort ≡ stable comparison sort on arbitrary
         /// batches, including duplicate keys, narrow/holey diff masks
         /// (random `mask` ANDs punch unpredictable constant-bit windows),
-        /// and empty/singleton inputs (`len` starts at 0) — for both
-        /// narrowing knob settings.
+        /// and empty/singleton inputs (`len` starts at 0). Sizes span the
+        /// cost model's crossover, so both sides of the cutover run.
         #[test]
-        fn lsd_equals_stable_comparison_sort(
-            keys in proptest::collection::vec(any::<u64>(), 0..800),
+        fn production_sort_equals_stable_comparison_sort(
+            keys in proptest::collection::vec(any::<u64>(), 0..3_000),
             mask in any::<u64>(),
             threads in 1usize..5,
-            narrow in any::<bool>(),
         ) {
             let input: Vec<Pair> = keys
                 .iter()
                 .enumerate()
                 .map(|(i, &k)| Pair::new(k & mask, i as u32))
                 .collect();
-            let expected = reference_sort(&input);
-            for policy in POLICIES {
-                prop_assert_eq!(&sorted(&input, threads, policy, narrow), &expected, "{:?}", policy);
-            }
+            prop_assert_eq!(&sorted(&input, threads), &reference_sort(&input));
         }
 
-        /// Duplicate-heavy batches (tiny key alphabet) stay stable under
-        /// every policy and the forced parallel-scatter seam.
+        /// Duplicate-heavy batches (tiny key alphabet) stay stable at the
+        /// forced parallel-scatter seam.
         #[test]
         fn duplicate_heavy_batches_stay_stable(
             keys in proptest::collection::vec(0u64..7, 0..600),
             workers in 1usize..6,
-            narrow in any::<bool>(),
         ) {
             let input: Vec<Pair> = keys
                 .iter()
                 .enumerate()
                 .map(|(i, &k)| Pair::new(k, i as u32))
                 .collect();
-            let expected = reference_sort(&input);
-            let mut pairs = input.clone();
-            let (mut scratch, mut ss) = (Vec::new(), SortScratch::default());
-            sort_pairs_with(&mut pairs, &mut scratch, &mut ss, 2, workers, None, SortPolicy::Lsd, narrow);
-            prop_assert_eq!(&pairs, &expected);
+            prop_assert_eq!(&sorted_with(&input, 2, workers), &reference_sort(&input));
         }
     }
 }

@@ -11,7 +11,7 @@
 #     on any host with >= 2 cores. This is the floor that catches the
 #     planner re-serializing (the pre-parallel-radix regression showed
 #     0.85x here); it guards the streamed path because that is where the
-#     fused sort-in-task planner does the most work per thread.
+#     pipelined extractor overlaps the device stage.
 #   * 4-thread batch speedup — must stay above SMOKE_FLOOR_SPEEDUP_4T
 #     on any host with >= 4 cores.
 #

@@ -40,6 +40,16 @@ RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-core --lib sched::tests::type1_incremental_kernel
 
+echo "== tier1: no environment-driven behaviour in crates/core =="
+# The core library's output must not change with environment variables:
+# every simulator setting lives in SieveConfig, so a run is reproducible
+# from its config alone. Bench binaries may still read their own
+# overrides (e.g. SIEVE_HOST_CORES in bench_classify).
+if grep -rn 'env::var' crates/core/src; then
+    echo "tier1: crates/core/src reads an environment variable — move the setting into SieveConfig" >&2
+    exit 1
+fi
+
 echo "== tier1: bench smoke (throughput floors) =="
 ./scripts/bench_smoke.sh
 

@@ -56,10 +56,9 @@ echo "== planner sort-phase attribution (wall lane) =="
 # scans when the global key window fits 32 bits). Their sum against the
 # enclosing "shard.sort" total shows where planning time goes;
 # sort.flush nests inside sort.scatter, so it is attribution detail,
-# not additional mass. Comparison-policy runs (SIEVE_SORT=comparison)
+# not additional mass. Batches small enough for the comparison cutover
 # have shard.sort spans but no sort.* phases; sort.narrow only appears
-# when the batch globally narrows (SIEVE_SORT_NARROW not disabled and
-# keys span ≤ 32 bits).
+# when the batch globally narrows (its keys span ≤ 32 bits).
 awk -F'"name":"' '/"pid":2/ && /"ph":"X"/ {
     split($2, a, "\""); name = a[1]
     if (name !~ /^(shard\.sort|sort\.(hist|scatter|local|flush|narrow))$/) next

@@ -121,98 +121,72 @@ fn type1_scheduler_runs_inside_its_own_span() {
     assert_eq!(span_count(), 2);
 }
 
-/// Work stealing only moves tasks between workers, so the deterministic
-/// snapshot (model counters + histograms, `wall.*` dropped — including
-/// the new `wall.steal_tasks`) must be bit-identical across steal on/off
-/// × the full worker sweep, even on a forced-imbalance batch where one
-/// radix bucket holds nearly everything and stealing genuinely fires.
+/// A forced-imbalance batch — one radix bucket holds nearly everything,
+/// so one match task list dominates — must still snapshot identically
+/// (model counters + histograms, `wall.*` dropped) across the full
+/// worker sweep.
 #[test]
-fn steal_grid_snapshots_identically_across_worker_counts() {
+fn imbalanced_batch_snapshots_identically_across_thread_counts() {
     let _session = RecorderSession::begin();
     let ds = dataset();
     let mut queries: Vec<Kmer> = (0..6_000u64)
         .map(|i| Kmer::from_u64(0x2AAA_0000_0000 | i, 31).unwrap())
         .collect();
     queries.extend(ds.entries.iter().map(|&(k, _)| k).take(64));
-    let mut reference: Option<obs::MetricsSnapshot> = None;
-    for steal in [false, true] {
-        for threads in THREAD_SWEEP {
-            obs::global().reset();
-            device(SieveConfig::type3(8).with_steal(steal), threads, &ds)
-                .run(&queries)
-                .unwrap();
-            let snap = obs::global().snapshot().deterministic();
-            assert!(
-                snap.counter("wall.steal_tasks") == 0,
-                "steal accounting leaked into the deterministic view"
-            );
-            match &reference {
-                None => reference = Some(snap),
-                Some(base) => assert_eq!(
-                    &snap, base,
-                    "steal={steal} threads={threads}: deterministic snapshot diverged"
-                ),
-            }
-        }
+    let snaps = snapshot_sweep(|threads| {
+        device(SieveConfig::type3(8), threads, &ds)
+            .run(&queries)
+            .unwrap();
+    });
+    for (snap, threads) in snaps.iter().zip(THREAD_SWEEP).skip(1) {
+        assert_eq!(
+            snap, &snaps[0],
+            "threads={threads}: deterministic snapshot diverged"
+        );
     }
 }
 
 /// The host-kernel axis (DESIGN.md §9): scalar and SWAR kernels extract
-/// identical k-mer streams and vote identically, and the planner's sort
-/// policy (adaptive cutover, forced radix, forced comparison) only
-/// reorders work, so the deterministic snapshot of a streamed
-/// classification — host counters, chunk histograms, device model
-/// metrics — must be bit-identical across kernels × sort policy × narrow
-/// × fused × cache × threads {1,2,4}. (The sort's own `wall.sort_passes_*`
-/// and `wall.sort_{narrow,wide}_segments` counters legitimately differ
-/// across policies and the narrowing knob; they are wall-prefixed
-/// exactly so `deterministic()` drops them.)
+/// identical k-mer streams and vote identically, so the deterministic
+/// snapshot of a streamed classification — host counters, chunk
+/// histograms, device model metrics — must be bit-identical across
+/// kernels × threads {1,2,4}, with the hot-k-mer cache off and on. (The
+/// sort's own `wall.sort_passes_*` and `wall.sort_{narrow,wide}_segments`
+/// counters describe how the host sort ran; they are wall-prefixed so
+/// `deterministic()` drops them.)
 #[test]
 fn kernel_grid_snapshots_identically() {
     let _session = RecorderSession::begin();
     let ds = dataset();
     let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 31);
     let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 2).cloned().collect();
-    for (fused, hot_kmers) in [(false, 0usize), (true, 1 << 18)] {
+    for hot_kmers in [0usize, 1 << 18] {
         // Cache counters legitimately differ across the cache axis, so the
-        // reference snapshot is per-(fused, cache) point; only the kernels,
-        // sort-policy, and thread axes must leave it bit-identical.
+        // reference snapshot is per cache setting; only the kernels and
+        // thread axes must leave it bit-identical.
         let mut reference: Option<obs::MetricsSnapshot> = None;
-        for policy in [
-            sieve::core::SortPolicy::Adaptive,
-            sieve::core::SortPolicy::Lsd,
-            sieve::core::SortPolicy::Comparison,
+        for kernels in [
+            sieve::core::HostKernels::Scalar,
+            sieve::core::HostKernels::Swar,
         ] {
-            for narrow in [false, true] {
-                for kernels in [
-                    sieve::core::HostKernels::Scalar,
-                    sieve::core::HostKernels::Swar,
-                ] {
-                    for threads in [1usize, 2, 4] {
-                        obs::global().reset();
-                        let config = SieveConfig::type3(8)
-                            .with_host_kernels(kernels)
-                            .with_fused(fused)
-                            .with_hot_kmers(hot_kmers)
-                            .with_sort_policy(policy)
-                            .with_sort_narrow(narrow);
-                        HostPipeline::new(device(config, threads, &ds))
-                            .classify_stream(&reads, 10)
-                            .unwrap();
-                        let snap = obs::global().snapshot().deterministic();
-                        match &reference {
-                            None => reference = Some(snap),
-                            Some(base) => assert_eq!(
-                                &snap,
-                                base,
-                                "sort={} narrow={narrow} kernels={} fused={fused} \
-                                 hot_kmers={hot_kmers} threads={threads}: \
-                                 deterministic snapshot diverged",
-                                policy.label(),
-                                kernels.label()
-                            ),
-                        }
-                    }
+            for threads in [1usize, 2, 4] {
+                obs::global().reset();
+                let config = SieveConfig::type3(8)
+                    .with_host_kernels(kernels)
+                    .with_hot_kmers(hot_kmers);
+                HostPipeline::new(device(config, threads, &ds))
+                    .classify_stream(&reads, 10)
+                    .unwrap();
+                let snap = obs::global().snapshot().deterministic();
+                match &reference {
+                    None => reference = Some(snap),
+                    Some(base) => assert_eq!(
+                        &snap,
+                        base,
+                        "kernels={} hot_kmers={hot_kmers} threads={threads}: \
+                         deterministic snapshot diverged",
+                        kernels.label()
+                    ),
                 }
             }
         }
