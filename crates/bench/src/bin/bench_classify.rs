@@ -40,8 +40,8 @@
 //! Flags: `--reads N` and `--reps M` scale the workload down for smoke
 //! runs (defaults 10,000 / 40), `--chunk C` adds one streamed row per
 //! thread count (`classify_stream` with C-read chunks — the pipelined
-//! extractor overlap *and* the cross-chunk hot-k-mer cache, which batch
-//! rows never exercise; rows carry a `chunk` field, 0 = batch),
+//! extractor overlap, which batch rows never exercise; rows carry a
+//! `chunk` field, 0 = batch),
 //! `--out PATH` redirects the `--json` artifact so quick runs don't
 //! clobber the committed results, and `--trace PATH` captures one traced
 //! streaming run at the highest thread count, writing `PATH.chrome.json`
@@ -164,8 +164,7 @@ fn main() {
         .collect();
 
     // Batch rows first, then (with --chunk) one streamed row per thread
-    // count: the streamed cells exercise the pipelined extractor overlap
-    // and the cross-chunk hot-k-mer cache.
+    // count: the streamed cells exercise the pipelined extractor overlap.
     let mut cells: Vec<Cell> = thread_counts
         .iter()
         .enumerate()

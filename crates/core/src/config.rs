@@ -147,15 +147,6 @@ pub struct SieveConfig {
     /// (proven by `tests/parallel_determinism.rs`). This too is a
     /// *simulator* knob, not a modeled device parameter.
     pub dedup: bool,
-    /// Capacity of the cross-chunk hot-k-mer cache, in entries; `0`
-    /// disables it. Streaming classification (`classify_stream`) sees the
-    /// same hot k-mers chunk after chunk; the cache replays a k-mer's
-    /// per-subarray outcome (destination, rows activated, payload)
-    /// without re-planning or re-matching it, composing with the in-batch
-    /// dedup. Replayed outcomes charge identical modeled quantities, so
-    /// results, reports, and model metrics are bit-identical with the
-    /// cache off. A *simulator* knob, not a modeled device parameter.
-    pub hot_kmers: usize,
     /// Host-kernel implementation selection (default [`HostKernels::Swar`]).
     /// Results, reports, and observability snapshots are bit-identical
     /// for either value (see [`HostKernels`]).
@@ -202,7 +193,6 @@ impl SieveConfig {
             esp_override: None,
             threads: 0,
             dedup: true,
-            hot_kmers: 1 << 18,
             host_kernels: HostKernels::Swar,
         }
     }
@@ -258,15 +248,6 @@ impl SieveConfig {
     #[must_use]
     pub fn with_dedup(mut self, dedup: bool) -> Self {
         self.dedup = dedup;
-        self
-    }
-
-    /// Sets the hot-k-mer cache capacity in entries, `0` to disable
-    /// (builder style). Output is bit-identical for every value (see
-    /// [`SieveConfig::hot_kmers`]).
-    #[must_use]
-    pub fn with_hot_kmers(mut self, hot_kmers: usize) -> Self {
-        self.hot_kmers = hot_kmers;
         self
     }
 
@@ -519,13 +500,11 @@ mod tests {
             .with_etm(false)
             .with_threads(2)
             .with_dedup(false)
-            .with_hot_kmers(1024)
             .with_host_kernels(HostKernels::Scalar);
         assert_eq!(c.k, 21);
         assert!(!c.etm_enabled);
         assert_eq!(c.threads, 2);
         assert!(!c.dedup);
-        assert_eq!(c.hot_kmers, 1024);
         assert_eq!(c.host_kernels, HostKernels::Scalar);
         c.validate().unwrap();
     }

@@ -1,11 +1,21 @@
 //! The public device model: load a reference set, run query batches,
 //! get functional results plus a timing/energy report.
+//!
+//! [`SieveDevice::run`] is the one production path for every caller
+//! (batch, streamed and paired classification alike): dedup → plan →
+//! match → reduce → expand, then the design point's scheduler. On Type-2/3
+//! devices the plan step first probes the static exact-match index of the
+//! reference ([`crate::member`]) when a strided sample of the batch hits it
+//! often enough; member hits are charged their full-sweep outcome in
+//! place, inside a `device.member` span, and only the misses are sorted,
+//! routed and matched. The device holds no state that a run changes —
+//! beyond recycled scratch memory — so a run's output depends on its
+//! batch alone.
 
 use std::sync::Mutex;
 
 use sieve_genomics::{Kmer, TaxonId};
 
-use crate::cache;
 use crate::config::{DeviceKind, SieveConfig};
 use crate::dedup;
 use crate::engine;
@@ -13,6 +23,7 @@ use crate::error::SieveError;
 use crate::etm;
 use crate::index::SubarrayIndex;
 use crate::layout::DeviceLayout;
+use crate::member::MemberIndex;
 use crate::obs;
 use crate::par;
 use crate::prof;
@@ -106,33 +117,6 @@ impl Clone for ScratchArena {
     }
 }
 
-/// The device's cross-chunk hot-k-mer cache (see [`crate::cache`]),
-/// engaged only on the streaming path ([`SieveDevice::run_streamed`]).
-#[derive(Debug)]
-struct HotCache {
-    cap: usize,
-    inner: Mutex<cache::KmerCache>,
-}
-
-impl HotCache {
-    fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            inner: Mutex::new(cache::KmerCache::new(cap)),
-        }
-    }
-}
-
-impl Clone for HotCache {
-    /// Cloned devices start with an empty cache of the same capacity:
-    /// contents are a pure acceleration structure (replays are
-    /// bit-identical to re-matching), so there is nothing semantic to
-    /// copy, and sharing would entangle the clones' streams.
-    fn clone(&self) -> Self {
-        Self::new(self.cap)
-    }
-}
-
 /// Functional results and the simulation report of one run.
 #[derive(Debug, Clone)]
 pub struct RunOutput {
@@ -146,19 +130,16 @@ pub struct RunOutput {
 /// subarray lives in the shard plan, not here.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct QueryWork {
-    /// Region-1 rows this lookup activates.
-    pub rows: u32,
     /// Whether it hit (payload retrieval follows).
     pub hit: bool,
 }
 
 /// One match task's resolved output: the task's contribution to its
 /// subarray's aggregate load, its hits (tagged with match-space ids for
-/// the deterministic scatter), and — only when the run needs per-query
-/// work downstream (Type-1 scheduling, cache fill) — one [`QueryWork`]
-/// per task query in task order. Loads of tasks from the same (split)
-/// shard are *accumulated* by the reduce, so the totals are independent
-/// of how shards were split.
+/// the deterministic scatter), and — only for Type-1, whose scheduler
+/// needs per-query work — one [`QueryWork`] per task query in task
+/// order. Loads of tasks from the same (split) shard are *accumulated* by
+/// the reduce, so the totals are independent of how shards were split.
 struct TaskOutcome {
     subarray: usize,
     load: sched::SubLoad,
@@ -194,12 +175,16 @@ pub struct SieveDevice {
     config: SieveConfig,
     layout: DeviceLayout,
     index: Option<SubarrayIndex>,
+    /// Exact-match index of the reference (Type-2/3 with data loaded):
+    /// member hits skip the sort/route/match path.
+    member: Option<MemberIndex>,
     scratch: ScratchArena,
-    cache: HotCache,
 }
 
 impl SieveDevice {
-    /// Validates `config`, lays out `entries`, and builds the index table.
+    /// Validates `config`, lays out `entries`, and builds the index table
+    /// and — except on Type-1, whose batch ETM needs every query — the
+    /// exact-match member index.
     ///
     /// # Errors
     ///
@@ -208,13 +193,14 @@ impl SieveDevice {
     pub fn new(config: SieveConfig, entries: Vec<(Kmer, TaxonId)>) -> Result<Self, SieveError> {
         let layout = DeviceLayout::build(entries, &config)?;
         let index = (!layout.is_empty()).then(|| SubarrayIndex::build(&layout));
-        let hot_kmers = config.hot_kmers;
+        let member = (!layout.is_empty() && !matches!(config.device, DeviceKind::Type1))
+            .then(|| MemberIndex::build(layout.entries(), 2 * config.k));
         Ok(Self {
             config,
             layout,
             index,
+            member,
             scratch: ScratchArena::default(),
-            cache: HotCache::new(hot_kmers),
         })
     }
 
@@ -258,18 +244,19 @@ impl SieveDevice {
     }
 
     /// Runs a query batch: deduplicates it to distinct k-mers (unless
-    /// [`SieveConfig::dedup`] is off), radix-sorts and boundary-routes
-    /// the distinct set into per-subarray shards, resolves the shards —
-    /// split into bounded tasks — functionally on worker threads,
-    /// schedules the merged work on the configured design point with
-    /// every duplicate charged its cached outcome's full cost, and
-    /// scatters results back to all occurrences.
+    /// [`SieveConfig::dedup`] is off), resolves reference members through
+    /// the exact-match index when a strided sample says enough of the
+    /// batch hits, radix-sorts and boundary-routes the rest into
+    /// per-subarray shards, resolves the shards — split into bounded
+    /// tasks — functionally on worker threads, schedules the merged work
+    /// on the configured design point with every duplicate charged its
+    /// outcome's full cost, and scatters results back to all occurrences.
     ///
     /// The dedup → plan → match → reduce structure is deterministic:
     /// per-query results are scattered back by input index and every
     /// merged quantity is an integer sum, so the output is bit-identical
     /// for any [`SieveConfig::threads`] or [`SieveConfig::dedup`]
-    /// setting.
+    /// setting, and whether or not the member index engaged.
     ///
     /// # Errors
     ///
@@ -277,31 +264,18 @@ impl SieveDevice {
     /// the loaded database's, and [`SieveError::BatchTooLarge`] if the
     /// batch exceeds the pipeline's `u32` indexing bound.
     pub fn run(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
-        self.run_checked(queries, false)
-    }
-
-    /// [`Self::run`] with the cross-chunk hot-k-mer cache engaged: repeat
-    /// k-mers replay their cached per-subarray outcome instead of
-    /// re-entering the sort/route/match path. Used by the streaming host
-    /// (`classify_stream`), where consecutive chunks share hot k-mers.
-    /// Results and reports are bit-identical to [`Self::run`].
-    pub(crate) fn run_streamed(&self, queries: &[Kmer]) -> Result<RunOutput, SieveError> {
-        self.run_checked(queries, true)
-    }
-
-    fn run_checked(&self, queries: &[Kmer], use_cache: bool) -> Result<RunOutput, SieveError> {
         for q in queries {
             self.check_k(*q)?;
         }
         check_batch_len(queries.len())?;
         let mut scratch = self.scratch.take();
-        let out = self.run_with(queries, &mut scratch, use_cache);
+        let out = self.run_with(queries, &mut scratch);
         self.scratch.put(scratch);
         Ok(out)
     }
 
     #[allow(clippy::too_many_lines)]
-    fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch, use_cache: bool) -> RunOutput {
+    fn run_with(&self, queries: &[Kmer], scratch: &mut RunScratch) -> RunOutput {
         let rec = obs::global();
         rec.add(obs::CounterId::DeviceRuns, 1);
         let tr = trace::global();
@@ -391,86 +365,73 @@ impl SieveDevice {
             space_results.clear();
             space_results.resize(space_queries.len(), None);
         }
-        // Loads span every occupied subarray: cache replays may land on
+        // Loads span every occupied subarray: member hits may land on
         // subarrays the current batch's plan never routes to. The
-        // schedulers skip zero-query entries, so the extra length is
-        // inert when the cache is off.
+        // schedulers skip zero-query entries, so the extra length is inert
+        // when nothing hits.
         loads.clear();
         loads.resize(index.first_bits().len(), sched::SubLoad::default());
 
-        // The cache serves only the streaming path, and never Type-1
-        // (its per-batch ETM recomputes row counts from raw k-mers).
-        let cache_enabled = use_cache && self.config.hot_kmers > 0 && !type1;
-        let mut cache_guard = if cache_enabled {
-            Some(self.cache.inner.lock().expect("cache lock"))
-        } else {
-            None
-        };
-        // Plan: decide cache engagement from a strided sample, probe the
-        // cache if engaged (replayed queries charge their loads here and
-        // skip the device stage), build the `(bits, id)` pairs for the
-        // rest, and sort and route them into the shard plan.
-        let mut cached_queries = 0u64;
-        // OR-fold of `bits ^ first_bits` over the pairs, built while they
-        // are pushed: hands the radix sort its digit window without a
-        // second scan over the keys (`radix::sort_pairs` docs).
-        let mut first_key: Option<u64> = None;
-        let mut spread = 0u64;
-        let inserting = {
+        // Plan: when a strided sample of the batch hits the member index
+        // often enough, probe every query there (hits charge their loads
+        // and results here and skip the device stage), build the
+        // `(bits, id)` pairs for the rest, and sort and route them into
+        // the shard plan.
+        let mut member_hits = 0u64;
+        {
             let _span = rec.span("device.plan");
             let _wall = tr.span("device.plan");
+            // OR-fold of `bits ^ first_bits` over the pairs, built while
+            // they are pushed: hands the radix sort its digit window
+            // without a second scan over the keys (`radix::sort_pairs`
+            // docs).
+            let mut first_key: Option<u64> = None;
+            let mut spread = 0u64;
             pairs.clear();
-            let observing = rec.is_enabled();
-            let engagement = match cache_guard.as_deref_mut() {
-                Some(cache) if !space_queries.is_empty() => {
-                    let stride = (space_queries.len() / cache::ENGAGE_SAMPLE).max(1);
-                    cache.assess(space_queries.iter().step_by(stride).map(|q| q.bits()))
-                }
-                _ => cache::Engagement::Warm,
-            };
-            match cache_guard.as_deref() {
-                Some(cache) if engagement == cache::Engagement::Probe => {
-                    let mut rows_hist = obs::LocalHistogram::new();
-                    let mut small_rows = [0u64; 256];
-                    let target: &mut Vec<Option<TaxonId>> = if dedup_on {
+            match self.member.as_ref().filter(|m| m.engages(space_queries)) {
+                Some(member) => {
+                    let _span = rec.span("device.member");
+                    let _wall = tr.span("device.member");
+                    let target: &mut [Option<TaxonId>] = if dedup_on {
                         space_results
                     } else {
                         &mut results
                     };
+                    let refs_per_subarray = self.layout.refs_per_subarray();
                     for (g, q) in space_queries.iter().enumerate() {
                         let bits = q.bits();
-                        let Some(e) = cache.get(bits) else {
+                        let Some((rank, taxon)) = member.get(bits) else {
                             spread |= bits ^ *first_key.get_or_insert(bits);
                             pairs.push(radix::Pair::new(bits, g as u32));
                             continue;
                         };
                         let m = mult.map_or(1u64, |m| u64::from(m[g]));
-                        let hit = e.taxon.is_some();
-                        let load = &mut loads[e.sub as usize];
-                        load.queries += m;
-                        load.rows += u64::from(e.rows) * m;
-                        load.hits += u64::from(hit) * m;
-                        cached_queries += m;
-                        if observing {
-                            let rows = u64::from(e.rows);
-                            if let Some(slot) = small_rows.get_mut(rows as usize) {
-                                *slot += m;
-                            } else {
-                                rows_hist.record_n(rows, m);
-                            }
-                        }
-                        if let Some(taxon) = e.taxon {
-                            target[g] = Some(taxon);
-                        }
+                        loads[(rank / refs_per_subarray) as usize].hits += m;
+                        member_hits += m;
+                        target[g] = Some(taxon);
                     }
-                    if observing {
-                        for (rows, &c) in small_rows.iter().enumerate() {
-                            rows_hist.record_n(rows as u64, c);
-                        }
+                    // Every hit sweeps the full Region 1: one row count
+                    // for all of them, applied per subarray once the
+                    // probe is done (loads held nothing before it).
+                    let hit_rows = table.rows(bit_len);
+                    for load in loads.iter_mut() {
+                        load.queries = load.hits;
+                        load.rows = load.hits * u64::from(hit_rows);
+                    }
+                    // Weighted (occurrence) counts: identical with dedup
+                    // on or off, and across thread counts.
+                    let missed = n as u64 - member_hits;
+                    rec.add(obs::CounterId::MemberHits, member_hits);
+                    rec.add(obs::CounterId::MemberMisses, missed);
+                    rec.record(obs::HistId::MemberHitKmers, member_hits);
+                    if rec.is_enabled() {
+                        let mut rows_hist = obs::LocalHistogram::new();
+                        rows_hist.record_n(u64::from(hit_rows), member_hits);
                         rec.merge_local(obs::HistId::EtmRowsActivated, &rows_hist);
                     }
+                    tr.emit_model("member.probe", 0, t0, 0, member_hits, missed);
                 }
-                _ => {
+                None => {
                     pairs.extend(space_queries.iter().enumerate().map(|(g, q)| {
                         let bits = q.bits();
                         spread |= bits ^ *first_key.get_or_insert(bits);
@@ -478,26 +439,10 @@ impl SieveDevice {
                     }));
                 }
             }
-            if engagement == cache::Engagement::Probe {
-                // Weighted (occurrence) counts: identical with dedup on
-                // or off, and across thread counts.
-                let missed = n as u64 - cached_queries;
-                rec.add(obs::CounterId::CacheHits, cached_queries);
-                rec.add(obs::CounterId::CacheMisses, missed);
-                rec.record(obs::HistId::CacheHitKmers, cached_queries);
-                tr.emit_model("cache.probe", 0, t0, 0, cached_queries, missed);
-            }
             plan.rebuild(index, pairs, pairs_scratch, sort, threads, Some(spread));
-            cache_guard
-                .as_deref()
-                .is_some_and(cache::KmerCache::accepts_inserts)
-        };
-        let keep_work = type1 || inserting;
-        rec.add(obs::CounterId::MatchQueries, cached_queries);
-        rec.add(
-            obs::CounterId::MatchHits,
-            loads.iter().map(|l| l.hits).sum::<u64>(),
-        );
+        }
+        rec.add(obs::CounterId::MatchQueries, member_hits);
+        rec.add(obs::CounterId::MatchHits, member_hits);
 
         // Match: the plan's tasks fan out as an indexed map, so the
         // outcomes land indexed by task id and the reduce below consumes
@@ -513,13 +458,13 @@ impl SieveDevice {
                     mult,
                     &table,
                     esp_table.as_ref(),
-                    keep_work,
+                    type1,
                 )
             })
         };
 
         // Reduce: accumulate loads per subarray (tasks of a split shard
-        // sum), scatter hits by id, feed the cache in task order.
+        // sum) and scatter hits by id, in task order.
         {
             let _span = rec.span("device.reduce");
             let _wall = tr.span("device.reduce");
@@ -528,7 +473,6 @@ impl SieveDevice {
                 space_work.clear();
                 space_work.resize(space_queries.len(), QueryWork::default());
             }
-            let mut inserted = 0u64;
             let mut reduce_hits = 0u64;
             for (t, outcome) in outcomes.into_iter().enumerate() {
                 reduce_hits += outcome.hits.len() as u64;
@@ -561,48 +505,22 @@ impl SieveDevice {
                 for &(id, taxon) in &outcome.hits {
                     target[id as usize] = Some(taxon);
                 }
-                if keep_work {
+                if type1 {
                     let (_, range) = plan.task(t);
                     let task_pairs = &pairs[range];
                     debug_assert_eq!(task_pairs.len(), outcome.work.len());
-                    if type1 {
-                        for (&p, &w) in task_pairs.iter().zip(&outcome.work) {
-                            space_work[p.id() as usize] = w;
-                        }
-                    }
-                    if inserting {
-                        let cache = cache_guard.as_deref_mut().expect("cache engaged");
-                        let mut hit_iter = outcome.hits.iter();
-                        for (&p, w) in task_pairs.iter().zip(&outcome.work) {
-                            let taxon = if w.hit {
-                                Some(hit_iter.next().expect("hit per flagged query").1)
-                            } else {
-                                None
-                            };
-                            if cache.insert(
-                                p.key(),
-                                cache::Cached {
-                                    sub: outcome.subarray as u32,
-                                    rows: w.rows,
-                                    taxon,
-                                },
-                            ) {
-                                inserted += 1;
-                            }
-                        }
+                    for (&p, &w) in task_pairs.iter().zip(&outcome.work) {
+                        space_work[p.id() as usize] = w;
                     }
                 }
-            }
-            if inserting {
-                rec.add(obs::CounterId::CacheInserts, inserted);
             }
             // Reduce rereads each task's hit list and scatters it into
             // the result table: one read and one write per hit record.
             let hit_bytes = reduce_hits * std::mem::size_of::<(u32, TaxonId)>() as u64;
             prof::record(prof::Phase::DeviceReduce, hit_bytes, hit_bytes, reduce_hits);
             if rec.is_enabled() {
-                // Per-subarray query counts (occurrence-expanded, cache
-                // replays included), recorded in subarray order so the
+                // Per-subarray query counts (occurrence-expanded, member
+                // hits included), recorded in subarray order so the
                 // histogram is independent of the task split and the
                 // thread count. One record per subarray that received
                 // queries, matching the MatchShards counter.
@@ -729,7 +647,7 @@ impl SieveDevice {
                     hits.push((id, taxon));
                 }
                 if keep_work {
-                    work.push(QueryWork { rows, hit });
+                    work.push(QueryWork { hit });
                 }
             }
         }
@@ -894,73 +812,87 @@ mod tests {
         }
     }
 
+    /// The probe-free oracle: every query located by the index table,
+    /// looked up on its own and charged individually into per-subarray
+    /// loads, then scheduled — no dedup, no member index, no sort.
+    fn probe_free_oracle(dev: &SieveDevice, queries: &[Kmer]) -> (Vec<Option<TaxonId>>, SimReport) {
+        let config = &dev.config;
+        let index = dev.index().expect("data loaded");
+        let mut loads = vec![sched::SubLoad::default(); index.len()];
+        let results = queries
+            .iter()
+            .map(|&q| {
+                let sub = index.locate(q);
+                let (etm, flush) = (config.etm_enabled, config.etm_flush_cycles);
+                let outcome = engine::lookup(&dev.layout.subarray(sub), q, etm, flush);
+                let rows = match (config.esp_override, outcome.hit) {
+                    (Some(esp), None) => {
+                        let lcp = outcome.max_lcp.min(esp as usize);
+                        etm::rows_activated(lcp, q.bit_len(), etm, flush).rows
+                    }
+                    _ => outcome.rows,
+                };
+                let load = &mut loads[sub];
+                load.queries += 1;
+                load.rows += u64::from(rows);
+                load.hits += u64::from(outcome.hit.is_some());
+                outcome.hit.map(|(_, taxon)| taxon)
+            })
+            .collect();
+        (results, sched::simulate_type23(config, &loads))
+    }
+
+    /// A hit-heavy batch with repeats (so dedup engages too): stored
+    /// k-mers, each present twice, plus a tail of read k-mers.
+    fn hit_heavy(ds: &synth::SyntheticDataset) -> Vec<Kmer> {
+        let stored: Vec<Kmer> = ds.entries.iter().step_by(5).map(|(k, _)| *k).collect();
+        let mut queries = stored.clone();
+        queries.extend(stored.iter().rev());
+        queries.extend(probes(ds, 40));
+        queries
+    }
+
     #[test]
-    fn streamed_cache_replays_are_bit_identical() {
+    fn member_hits_match_the_probe_free_oracle() {
         let ds = dataset();
-        let queries = probes(&ds, 60);
-        let dev = device(SieveConfig::type3(8));
-        // First streamed run fills the cache; the second replays most of
-        // the batch from it. Both must equal the uncached batch run.
-        let batch = dev.run(&queries).unwrap();
-        let first = dev.run_streamed(&queries).unwrap();
-        let second = dev.run_streamed(&queries).unwrap();
-        assert!(!dev.cache.inner.lock().unwrap().is_empty());
-        for out in [&first, &second] {
-            assert_eq!(out.results, batch.results);
-            assert_eq!(out.report, batch.report);
+        let engaged = hit_heavy(&ds);
+        let vetoed = probes(&ds, 120);
+        for config in [
+            SieveConfig::type3(8),
+            SieveConfig::type2(4),
+            SieveConfig::type3(8).with_esp_override(10),
+            SieveConfig::type3(8).with_etm(false),
+        ] {
+            for (queries, engages) in [(&engaged, true), (&vetoed, false)] {
+                let oracle_dev = device(config.clone());
+                let member = oracle_dev.member.as_ref().expect("Type-2/3 builds one");
+                assert_eq!(member.engages(queries), engages);
+                let (results, report) = probe_free_oracle(&oracle_dev, queries);
+                for threads in [1usize, 4] {
+                    for dedup in [true, false] {
+                        let dev = device(config.clone().with_threads(threads).with_dedup(dedup));
+                        let out = dev.run(queries).unwrap();
+                        let context = format!(
+                            "{} engages={engages} threads={threads} dedup={dedup}",
+                            config.device.label()
+                        );
+                        assert_eq!(out.results, results, "{context}: results");
+                        assert_eq!(out.report, report, "{context}: report");
+                    }
+                }
+            }
         }
-        // The batch API must never touch the cache.
-        let cached = dev.cache.inner.lock().unwrap().len();
-        let _ = dev.run(&queries).unwrap();
-        assert_eq!(dev.cache.inner.lock().unwrap().len(), cached);
     }
 
     #[test]
-    fn zero_capacity_cache_disables_replay() {
-        let ds = dataset();
-        let queries = probes(&ds, 30);
-        let dev = device(SieveConfig::type3(8).with_hot_kmers(0));
-        let batch = dev.run(&queries).unwrap();
-        let streamed = dev.run_streamed(&queries).unwrap();
-        assert_eq!(streamed.results, batch.results);
-        assert_eq!(streamed.report, batch.report);
-        assert!(dev.cache.inner.lock().unwrap().is_empty());
-    }
-
-    #[test]
-    fn long_period_redundancy_reengages_the_cache() {
-        let dev = device(SieveConfig::type3(8));
-        let batch = |b: u64| -> Vec<Kmer> {
-            (0..2_000u64)
-                .map(|i| Kmer::from_u64(b * 1_000_000 + i, 31).unwrap())
-                .collect()
-        };
-        // Four batches of entirely novel k-mers: every engagement sample
-        // runs cold, so no full probe fires, but the cache keeps warming
-        // (all four batches fit under the warm cap).
-        let mut outputs = Vec::new();
-        for b in 0..4 {
-            outputs.push(dev.run_streamed(&batch(b)).unwrap());
-        }
-        assert!(!dev.cache.inner.lock().unwrap().is_proven());
-        // Batch 0 recurs with a period longer than any fixed strike
-        // budget could tolerate: the sample hits its warmed entries, the
-        // run replays from the cache, and the replay is bit-identical.
-        let replay = dev.run_streamed(&batch(0)).unwrap();
-        assert!(dev.cache.inner.lock().unwrap().is_proven());
-        assert_eq!(replay.results, outputs[0].results);
-        assert_eq!(replay.report, outputs[0].report);
-    }
-
-    #[test]
-    fn cloned_device_starts_with_an_empty_cache() {
-        let ds = dataset();
-        let queries = probes(&ds, 30);
-        let dev = device(SieveConfig::type3(8));
-        let _ = dev.run_streamed(&queries).unwrap();
-        assert!(!dev.cache.inner.lock().unwrap().is_empty());
-        let cloned = dev.clone();
-        assert!(cloned.cache.inner.lock().unwrap().is_empty());
+    fn type1_builds_no_member_index() {
+        assert!(device(SieveConfig::type1()).member.is_none());
+        assert!(device(SieveConfig::type3(8)).member.is_some());
+        let config = SieveConfig::type3(8).with_geometry(Geometry::scaled_medium());
+        assert!(SieveDevice::new(config, Vec::new())
+            .unwrap()
+            .member
+            .is_none());
     }
 
     #[test]

@@ -16,6 +16,13 @@
 //! allocates nothing. Chunks are still *consumed* in order, so the output
 //! and every deterministic observation are bit-identical to the serial
 //! path.
+//!
+//! Batch, streamed and paired classification all call the one device
+//! path, [`SieveDevice::run`]; a stream carries no device state from chunk
+//! to chunk. Every chunk — the whole batch counts as one — opens
+//! `host.extract`, `host.device` and `host.vote` spans in both the obs
+//! recorder and the tracer, so the streamed path is as attributed as the
+//! batch path (`host.chunk` brackets each streamed chunk).
 
 use std::sync::mpsc;
 
@@ -276,6 +283,7 @@ impl HostPipeline {
             kmers.clear();
             owners.clear();
             {
+                let _span = rec.span("host.extract");
                 let _wall = trace::span("host.extract");
                 self.extract_kmers_into(chunk, &mut kmers, &mut owners);
             }
@@ -283,15 +291,20 @@ impl HostPipeline {
             rec.add(obs::CounterId::HostKmers, kmers.len() as u64);
             rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
             let run = {
+                let _span = rec.span("host.device");
                 let _wall = trace::span("host.device");
-                self.device.run_streamed(&kmers)?
+                self.device.run(&kmers)?
             };
-            all_reads.extend(vote_reads(
-                chunk.len(),
-                &owners,
-                &run.results,
-                self.device.config().host_kernels,
-            ));
+            {
+                let _span = rec.span("host.vote");
+                let _wall = trace::span("host.vote");
+                all_reads.extend(vote_reads(
+                    chunk.len(),
+                    &owners,
+                    &run.results,
+                    self.device.config().host_kernels,
+                ));
+            }
             match merged {
                 None => *merged = Some(run.report),
                 Some(m) => m.accumulate(&run.report),
@@ -354,15 +367,20 @@ impl HostPipeline {
                 rec.add(obs::CounterId::HostKmers, kmers.len() as u64);
                 rec.record(obs::HistId::ChunkKmers, kmers.len() as u64);
                 let run = {
+                    let _span = rec.span("host.device");
                     let _wall = trace::span("host.device");
-                    self.device.run_streamed(&kmers)?
+                    self.device.run(&kmers)?
                 };
-                all_reads.extend(vote_reads(
-                    chunk.len(),
-                    &owners,
-                    &run.results,
-                    self.device.config().host_kernels,
-                ));
+                {
+                    let _span = rec.span("host.vote");
+                    let _wall = trace::span("host.vote");
+                    all_reads.extend(vote_reads(
+                        chunk.len(),
+                        &owners,
+                        &run.results,
+                        self.device.config().host_kernels,
+                    ));
+                }
                 match &mut *merged {
                     None => *merged = Some(run.report),
                     Some(m) => m.accumulate(&run.report),

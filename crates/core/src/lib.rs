@@ -53,7 +53,6 @@
 mod api;
 pub mod area;
 pub mod bitsim;
-mod cache;
 mod cluster;
 mod config;
 mod dedup;
@@ -66,6 +65,7 @@ mod host;
 mod index;
 mod layout;
 pub mod load;
+mod member;
 pub mod obs;
 mod par;
 mod pcie;

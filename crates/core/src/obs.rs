@@ -14,10 +14,18 @@
 //!   (DESIGN.md §6/§7). Per-shard work is batched in a [`LocalHistogram`]
 //!   and merged once, so the hot path stays allocation- and contention-free.
 //! * **Wall-clock spans** — [`span`] scopes around real pipeline phases
-//!   (`"plan"`, `"match"`, `"reduce"`, `"host.extract"`, …) whose elapsed
-//!   nanoseconds land in histograms named `wall.<name>.ns`. These measure
-//!   the simulator itself and are inherently non-deterministic;
+//!   (`"host.extract"`, `"host.device"`, `"host.vote"`, `"device.plan"`
+//!   with the member-index probe `"device.member"` nested in it,
+//!   `"device.match"`, `"device.reduce"`, …) whose elapsed nanoseconds
+//!   land in histograms named `wall.<name>.ns`. Batch and streamed
+//!   classification open the same host spans once per chunk. These
+//!   measure the simulator itself and are inherently non-deterministic;
 //!   [`MetricsSnapshot::deterministic`] filters them out for comparisons.
+//!
+//! Member-index engagement is a model metric like any other: the
+//! `member_hits`/`member_misses` counters and the `member_hit_kmers`
+//! histogram count occurrence-weighted queries of engaged runs, so they
+//! too are identical across thread counts and dedup settings.
 //!
 //! Everything hangs off a process-wide [`Recorder`] ([`global`]) that is
 //! **disabled by default**: when disabled, every record path is a single
@@ -82,14 +90,12 @@ pub enum CounterId {
     ClusterDeviceRuns,
     /// `Transport::transfer_ps` invocations.
     TransportTransfers,
-    /// Queries resolved by the cross-chunk hot-k-mer cache (multiplicity
-    /// weighted, like `MatchQueries`).
-    CacheHits,
-    /// Unique k-mers that missed the hot-k-mer cache and went to the
-    /// device stage.
-    CacheMisses,
-    /// Entries inserted into the hot-k-mer cache.
-    CacheInserts,
+    /// Queries resolved by the exact-match member index (multiplicity
+    /// weighted, like `MatchQueries`), on runs that engaged it.
+    MemberHits,
+    /// Queries of engaged runs that missed the member index and went to
+    /// the sort/route/match path (multiplicity weighted).
+    MemberMisses,
     /// Counting passes the radix sort pipeline executed: the global MSD
     /// pass plus every bucket-local LSD pass (segments that take the
     /// comparison cutover contribute none). A **wall metric**: the count
@@ -116,7 +122,7 @@ pub enum CounterId {
 
 impl CounterId {
     /// Every counter, in snapshot order.
-    pub const ALL: [Self; 18] = [
+    pub const ALL: [Self; 17] = [
         Self::HostChunks,
         Self::HostReads,
         Self::HostKmers,
@@ -128,9 +134,8 @@ impl CounterId {
         Self::ClusterRuns,
         Self::ClusterDeviceRuns,
         Self::TransportTransfers,
-        Self::CacheHits,
-        Self::CacheMisses,
-        Self::CacheInserts,
+        Self::MemberHits,
+        Self::MemberMisses,
         Self::SortPassesRun,
         Self::SortPassesSkipped,
         Self::SortNarrowSegments,
@@ -152,9 +157,8 @@ impl CounterId {
             Self::ClusterRuns => "cluster_runs",
             Self::ClusterDeviceRuns => "cluster_device_runs",
             Self::TransportTransfers => "transport_transfers",
-            Self::CacheHits => "cache_hits",
-            Self::CacheMisses => "cache_misses",
-            Self::CacheInserts => "cache_inserts",
+            Self::MemberHits => "member_hits",
+            Self::MemberMisses => "member_misses",
             Self::SortPassesRun => "wall.sort_passes_run",
             Self::SortPassesSkipped => "wall.sort_passes_skipped",
             Self::SortNarrowSegments => "wall.sort_narrow_segments",
@@ -184,9 +188,9 @@ pub enum HistId {
     DispatchStallPs,
     /// Simulated `Transport::transfer_ps` durations, ps.
     TransportTransferPs,
-    /// Cache-resolved queries per device run (how much of each batch the
-    /// hot-k-mer cache short-circuited).
-    CacheHitKmers,
+    /// Member-index hits per engaged device run (how much of each batch
+    /// skipped the sort/route/match path).
+    MemberHitKmers,
 }
 
 impl HistId {
@@ -199,7 +203,7 @@ impl HistId {
         Self::ClusterDeviceMakespanPs,
         Self::DispatchStallPs,
         Self::TransportTransferPs,
-        Self::CacheHitKmers,
+        Self::MemberHitKmers,
     ];
 
     /// Snapshot/Prometheus name.
@@ -213,7 +217,7 @@ impl HistId {
             Self::ClusterDeviceMakespanPs => "cluster_device_makespan_ps",
             Self::DispatchStallPs => "dispatch_stall_ps",
             Self::TransportTransferPs => "transport_transfer_ps",
-            Self::CacheHitKmers => "cache_hit_kmers",
+            Self::MemberHitKmers => "member_hit_kmers",
         }
     }
 }

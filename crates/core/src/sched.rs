@@ -924,7 +924,6 @@ mod tests {
             let work: Vec<QueryWork> = keys
                 .iter()
                 .map(|&k| QueryWork {
-                    rows: 0,
                     hit: sa
                         .entries()
                         .binary_search_by_key(&k, |(e, _)| e.bits())

@@ -39,6 +39,11 @@ RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
 # decrements are the same wrap-prone arithmetic.
 RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
     cargo test -q -p sieve-core --lib sched::tests::type1_incremental_kernel
+# The member index against the sorted-database oracle: its directory
+# shift and the `dir[top + 1]` read at `bit_len` 64 (k = 32) are where an
+# overflow would hide.
+RUSTFLAGS="-C overflow-checks=on" CARGO_TARGET_DIR=target/overflow \
+    cargo test -q -p sieve-core --lib member::tests::get_matches_sorted_db
 
 echo "== tier1: no environment-driven behaviour in crates/core =="
 # The core library's output must not change with environment variables:

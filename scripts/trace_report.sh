@@ -46,6 +46,35 @@ echo "== heaviest folded stacks (top 12 by weight) =="
 sort -k2 -n -r "$FOLDED" | head -n 12 | awk '{ printf "  %-56s %s\n", $1, $2 }'
 
 echo
+echo "== planner attribution (wall lane) =="
+# "device.plan" is the whole planning step of a Type-2/3 run:
+# "device.member" (the member-index probe, present only on runs whose
+# 1,024-key sample engaged it), pair building and that sample (no span
+# of their own: the remainder), "shard.sort" and "shard.route". The
+# remainder line is plan minus its three spanned children.
+awk -F'"name":"' '/"pid":2/ && /"ph":"X"/ {
+    split($2, a, "\""); name = a[1]
+    if (name !~ /^(device\.(plan|member)|shard\.(sort|route))$/) next
+    split($0, d, /"dur":/); split(d[2], v, "[,}]")
+    busy[name] += v[1]; n[name]++
+} END {
+    if (!("device.plan" in busy)) { print "  (no device.plan spans in this trace)"; exit }
+    total = busy["device.plan"]
+    printf "  %-14s %12.1f us  (%d spans)\n", "device.plan", total, n["device.plan"]
+    split("device.member shard.sort shard.route", names, " ")
+    rest = total
+    for (i = 1; i <= 3; i++) {
+        name = names[i]
+        if (!(name in busy)) continue
+        rest -= busy[name]
+        printf "  %-14s %12.1f us  (%d spans, %.1f%% of device.plan)\n", \
+            name, busy[name], n[name], 100 * busy[name] / total
+    }
+    printf "  %-14s %12.1f us  (%.1f%% of device.plan: pair build, sample)\n", \
+        "remainder", rest, 100 * rest / total
+}' "$CHROME"
+
+echo
 echo "== planner sort-phase attribution (wall lane) =="
 # The radix pipeline brackets each phase in its own wall span (pid 2 =
 # wall clock): "sort.hist" (global top-window histogram), "sort.scatter"

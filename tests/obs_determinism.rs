@@ -10,9 +10,9 @@
 use std::sync::Mutex;
 
 use proptest::prelude::*;
-use sieve::core::{obs, HostPipeline, SieveConfig, SieveDevice};
+use sieve::core::{engine, obs, HostPipeline, SieveConfig, SieveDevice};
 use sieve::dram::Geometry;
-use sieve::genomics::{synth, Kmer};
+use sieve::genomics::{synth, DnaSequence, Kmer};
 
 /// The acceptance sweep: sequential, typical cores, oversubscribed.
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -69,6 +69,63 @@ fn snapshot_sweep(mut work: impl FnMut(usize)) -> Vec<obs::MetricsSnapshot> {
             obs::global().snapshot().deterministic()
         })
         .collect()
+}
+
+/// A stream whose chunks mostly hit the reference (reads drawn from it
+/// with few errors), repeated three times, so its chunks engage the
+/// member index.
+fn engaged_reads(ds: &synth::SyntheticDataset) -> Vec<DnaSequence> {
+    let sim = synth::ReadSimConfig {
+        from_reference: 1.0,
+        error_rate: 0.005,
+        ..synth::ReadSimConfig::default()
+    };
+    let (pass, _) = synth::simulate_reads(ds, sim, 30, 31);
+    pass.iter().cycle().take(pass.len() * 3).cloned().collect()
+}
+
+/// The same shape at the paper's ~1 % hit rate, so its chunks' samples
+/// veto the member index.
+fn vetoed_reads(ds: &synth::SyntheticDataset) -> Vec<DnaSequence> {
+    let (pass, _) = synth::simulate_reads(ds, synth::ReadSimConfig::default(), 30, 31);
+    pass.iter().cycle().take(pass.len() * 3).cloned().collect()
+}
+
+/// Probe-free model metrics of `reads` classified in `chunk`-read chunks:
+/// every k-mer located by the index table and looked up on its own, as
+/// if no member index existed. Returns the `etm_rows_activated` and
+/// `shard_queries` histograms such a run would record.
+fn probe_free_histograms(
+    dev: &SieveDevice,
+    reads: &[DnaSequence],
+    chunk: usize,
+) -> (obs::HistogramSnapshot, obs::HistogramSnapshot) {
+    let oracle = obs::Recorder::new();
+    oracle.set_enabled(true);
+    let config = dev.config();
+    let index = dev.index().expect("data loaded");
+    let host = HostPipeline::new(dev.clone());
+    for part in reads.chunks(chunk) {
+        let (kmers, _) = host.extract_kmers(part);
+        let mut per_sub = vec![0u64; index.len()];
+        for kmer in kmers {
+            let sub = index.locate(kmer);
+            let outcome = engine::lookup(
+                &dev.layout().subarray(sub),
+                kmer,
+                config.etm_enabled,
+                config.etm_flush_cycles,
+            );
+            oracle.record(obs::HistId::EtmRowsActivated, u64::from(outcome.rows));
+            per_sub[sub] += 1;
+        }
+        for &queries in per_sub.iter().filter(|&&q| q > 0) {
+            oracle.record(obs::HistId::ShardQueries, queries);
+        }
+    }
+    let snap = oracle.snapshot();
+    let hist = |name: &str| snap.histogram(name).cloned().unwrap_or_default();
+    (hist("etm_rows_activated"), hist("shard_queries"))
 }
 
 #[test]
@@ -150,19 +207,17 @@ fn imbalanced_batch_snapshots_identically_across_thread_counts() {
 /// identical k-mer streams and vote identically, so the deterministic
 /// snapshot of a streamed classification — host counters, chunk
 /// histograms, device model metrics — must be bit-identical across
-/// kernels × threads {1,2,4}, with the hot-k-mer cache off and on. (The
-/// sort's own `wall.sort_passes_*` and `wall.sort_{narrow,wide}_segments`
-/// counters describe how the host sort ran; they are wall-prefixed so
-/// `deterministic()` drops them.)
+/// kernels × threads {1,2,4}, on a stream that engages the member index
+/// and on one that vetoes it. (The sort's own `wall.sort_passes_*` and
+/// `wall.sort_{narrow,wide}_segments` counters describe how the host
+/// sort ran; they are wall-prefixed so `deterministic()` drops them.)
 #[test]
 fn kernel_grid_snapshots_identically() {
     let _session = RecorderSession::begin();
     let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 25, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 2).cloned().collect();
-    for hot_kmers in [0usize, 1 << 18] {
-        // Cache counters legitimately differ across the cache axis, so the
-        // reference snapshot is per cache setting; only the kernels and
+    for (reads, engaged) in [(engaged_reads(&ds), true), (vetoed_reads(&ds), false)] {
+        // Member counters legitimately differ across the two inputs, so
+        // the reference snapshot is per input; only the kernels and
         // thread axes must leave it bit-identical.
         let mut reference: Option<obs::MetricsSnapshot> = None;
         for kernels in [
@@ -171,19 +226,18 @@ fn kernel_grid_snapshots_identically() {
         ] {
             for threads in [1usize, 2, 4] {
                 obs::global().reset();
-                let config = SieveConfig::type3(8)
-                    .with_host_kernels(kernels)
-                    .with_hot_kmers(hot_kmers);
+                let config = SieveConfig::type3(8).with_host_kernels(kernels);
                 HostPipeline::new(device(config, threads, &ds))
                     .classify_stream(&reads, 10)
                     .unwrap();
                 let snap = obs::global().snapshot().deterministic();
+                assert_eq!(snap.counter("member_hits") > 0, engaged);
                 match &reference {
                     None => reference = Some(snap),
                     Some(base) => assert_eq!(
                         &snap,
                         base,
-                        "kernels={} hot_kmers={hot_kmers} threads={threads}: \
+                        "kernels={} engaged={engaged} threads={threads}: \
                          deterministic snapshot diverged",
                         kernels.label()
                     ),
@@ -230,61 +284,118 @@ fn snapshot_counters_reflect_the_workload() {
     }
 }
 
-/// A duplicate-heavy stream must genuinely engage the hot-k-mer cache
-/// (the grid test in parallel_determinism.rs would otherwise pass
-/// vacuously), replayed chunks must still charge the full modeled
-/// quantities, and the deterministic snapshot must stay bit-identical
-/// across thread counts with the cache on.
+/// A hit-heavy stream must genuinely engage the member index (the grid
+/// test in parallel_determinism.rs, which streams the same reads, would
+/// otherwise pass vacuously) and a ~1 %-hit stream must not; either way
+/// member hits charge the full modeled quantities the device stage would
+/// have — the model histograms equal a probe-free oracle's — and the
+/// deterministic snapshot stays bit-identical across thread counts.
 #[test]
 fn cached_streams_engage_and_snapshot_identically() {
     let _session = RecorderSession::begin();
     let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    let stream = |threads: usize, hot_kmers: usize| {
-        let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
-        HostPipeline::new(device(config, threads, &ds))
-            .classify_stream(&reads, 10)
+    let stream = |reads: &[DnaSequence], threads: usize| {
+        HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
+            .classify_stream(reads, 10)
             .unwrap()
     };
-
-    let out = stream(1, 1 << 18);
-    let on = obs::global().snapshot();
-    assert!(
-        on.counter("cache_hits") > 0,
-        "repeated chunks never engaged the cache"
-    );
-    assert!(on.counter("cache_inserts") > 0);
-    assert!(on
-        .histogram("cache_hit_kmers")
-        .is_some_and(|h| h.count > 0 && h.sum == on.counter("cache_hits")));
-    // Replays charge the same modeled quantities the device stage would
-    // have: the model counters and histograms are cache-oblivious.
-    assert_eq!(on.counter("match_queries"), out.report.queries);
-    assert_eq!(on.counter("match_hits"), out.report.hits);
-
-    obs::global().reset();
-    let off_out = stream(1, 0);
-    let off = obs::global().snapshot();
-    assert_eq!(off_out.report, out.report, "cache changed the report");
-    assert_eq!(off.counter("cache_hits"), 0);
-    assert_eq!(off.counter("cache_inserts"), 0);
-    assert_eq!(off.counter("match_queries"), on.counter("match_queries"));
-    assert_eq!(off.counter("match_hits"), on.counter("match_hits"));
-    for hist in ["etm_rows_activated", "shard_queries"] {
-        let (a, b) = (on.histogram(hist).unwrap(), off.histogram(hist).unwrap());
-        assert_eq!((a.count, a.sum), (b.count, b.sum), "{hist} diverged");
-    }
-
-    let snaps = snapshot_sweep(|threads| {
-        stream(threads, 1 << 18);
-    });
-    for (i, snap) in snaps.iter().enumerate().skip(1) {
+    for (reads, engaged) in [(engaged_reads(&ds), true), (vetoed_reads(&ds), false)] {
+        obs::global().reset();
+        let out = stream(&reads, 1);
+        let snap = obs::global().snapshot();
+        let hits = snap.counter("member_hits");
+        let probed = snap.histogram("member_hit_kmers");
+        if engaged {
+            assert!(hits > 0, "hit-heavy chunks never engaged the member index");
+            assert!(probed.is_some_and(|h| h.count > 0 && h.sum == hits));
+            assert_eq!(hits + snap.counter("member_misses"), out.report.queries);
+        } else {
+            assert_eq!(hits, 0, "~1%-hit chunks engaged the member index");
+            assert_eq!(snap.counter("member_misses"), 0);
+            assert!(probed.is_none_or(|h| h.count == 0));
+        }
+        // Member hits charge the same modeled quantities the device stage
+        // would have: the model counters and histograms are probe-oblivious.
+        assert_eq!(snap.counter("match_queries"), out.report.queries);
+        assert_eq!(snap.counter("match_hits"), out.report.hits);
+        let (rows, shards) =
+            probe_free_histograms(&device(SieveConfig::type3(8), 1, &ds), &reads, 10);
+        assert_eq!(snap.histogram("etm_rows_activated"), Some(&rows));
+        assert_eq!(snap.histogram("shard_queries"), Some(&shards));
         assert_eq!(
-            snap, &snaps[0],
-            "cached stream threads={}: deterministic snapshot diverged",
-            THREAD_SWEEP[i]
+            rows.sum,
+            out.report.row_activations - 2 * out.report.hits,
+            "ETM histogram mass must equal Region-1 activations"
         );
+
+        let snaps = snapshot_sweep(|threads| {
+            stream(&reads, threads);
+        });
+        for (i, snap) in snaps.iter().enumerate().skip(1) {
+            assert_eq!(
+                snap, &snaps[0],
+                "engaged={engaged} threads={}: deterministic snapshot diverged",
+                THREAD_SWEEP[i]
+            );
+        }
+    }
+}
+
+/// The member probe owns one wall span per engaged device run, nested in
+/// `device.plan`; a vetoed run opens none.
+#[test]
+fn member_probe_runs_inside_its_own_span() {
+    let _session = RecorderSession::begin();
+    let ds = dataset();
+    let span_count = |name: &str| {
+        obs::global()
+            .snapshot()
+            .histogram(name)
+            .map_or(0, |h| h.count)
+    };
+    let dev = device(SieveConfig::type3(8), 2, &ds);
+    let (novel, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 20, 5);
+    let vetoed: Vec<Kmer> = novel
+        .iter()
+        .flat_map(|r| r.kmers(31).map(|(_, k)| k))
+        .collect();
+    dev.run(&vetoed).unwrap();
+    assert_eq!(span_count("wall.device.member.ns"), 0, "vetoed run probed");
+    assert_eq!(obs::global().snapshot().counter("member_hits"), 0);
+    let engaged: Vec<Kmer> = ds.entries.iter().step_by(17).map(|(k, _)| *k).collect();
+    dev.run(&engaged).unwrap();
+    dev.run(&engaged).unwrap();
+    assert_eq!(span_count("wall.device.member.ns"), 2);
+    assert_eq!(span_count("wall.device.plan.ns"), 3);
+    assert_eq!(
+        obs::global().snapshot().counter("member_hits"),
+        2 * engaged.len() as u64
+    );
+}
+
+/// Both streamed paths — the serial loop (1 thread) and the two-stage
+/// pipeline (2 threads) — time extraction, the device run and the vote
+/// once per chunk, as `classify_reads` does for its single chunk.
+#[test]
+fn streamed_chunks_time_every_host_phase() {
+    let _session = RecorderSession::begin();
+    let ds = dataset();
+    let reads = vetoed_reads(&ds);
+    let chunks = reads.len().div_ceil(10) as u64;
+    for threads in [1usize, 2] {
+        obs::global().reset();
+        HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
+            .classify_stream(&reads, 10)
+            .unwrap();
+        let snap = obs::global().snapshot();
+        for phase in ["chunk", "extract", "device", "vote"] {
+            let name = format!("wall.host.{phase}.ns");
+            assert_eq!(
+                snap.histogram(&name).map_or(0, |h| h.count),
+                chunks,
+                "threads={threads}: {name}"
+            );
+        }
     }
 }
 

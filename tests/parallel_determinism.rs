@@ -4,7 +4,9 @@
 //! bit-identical to the sequential run's.
 
 use proptest::prelude::*;
-use sieve::core::{HostKernels, HostPipeline, PipelineOutput, SieveConfig, SieveDevice};
+use sieve::core::{
+    vote_reads, HostKernels, HostPipeline, PipelineOutput, SieveConfig, SieveDevice,
+};
 use sieve::dram::Geometry;
 use sieve::genomics::{synth, DnaSequence, Kmer};
 
@@ -150,33 +152,53 @@ fn pipelined_stream_matches_serial_for_every_chunk_size() {
     }
 }
 
-/// The device-stage optimization grid — hot-k-mer cache enabled or
-/// disabled, scalar or SWAR host kernels — must be pure optimization: for
-/// every combination and thread count, a streamed run's per-read
-/// classifications and full modeled report are bit-identical to the
-/// uncached, scalar, single-threaded reference. The stream repeats the
-/// same reads three times so later chunks re-present earlier chunks'
-/// k-mers and the cache genuinely engages (the engagement sampler proves
-/// it on the first repeated chunk; device::tests verify the replay path
-/// fires on exactly this shape of stream).
+/// The device-stage optimization grid — scalar or SWAR host kernels, on a
+/// stream whose chunks engage the member index and on one whose chunks
+/// veto it — must be pure optimization: for every combination and thread
+/// count, a streamed run's per-read classifications and full modeled
+/// report are bit-identical to the scalar, single-threaded run of the same
+/// input. Each stream repeats its reads three times so dedup engages too.
+/// The engaged stream reads the reference with few errors (far above the
+/// member index's 50 % engagement threshold; `obs_determinism` asserts
+/// `member_hits > 0` on the same reads), the vetoed one has the paper's
+/// ~1 % hit rate (`member_hits == 0` there). On both, the per-read
+/// classifications also equal the probe-free `SieveDevice::lookup` path.
 #[test]
 fn cache_and_kernel_grid_is_bit_identical_across_thread_counts() {
     let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
-    let reads: Vec<DnaSequence> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
     let chunk = 10;
-    let reference = SieveConfig::type3(8)
-        .with_hot_kmers(0)
-        .with_host_kernels(HostKernels::Scalar);
-    let base = HostPipeline::new(device(reference, 1, &ds))
-        .classify_stream(&reads, chunk)
-        .unwrap();
-    for kernels in [HostKernels::Scalar, HostKernels::Swar] {
-        for hot_kmers in [0usize, 1 << 18] {
+    let engaged = synth::ReadSimConfig {
+        from_reference: 1.0,
+        error_rate: 0.005,
+        ..synth::ReadSimConfig::default()
+    };
+    for (sim, min_hit_frac, max_hit_frac) in [
+        (engaged, 0.7, 1.0),
+        (synth::ReadSimConfig::default(), 0.0, 0.1),
+    ] {
+        let (pass, _) = synth::simulate_reads(&ds, sim, 30, 31);
+        let reads: Vec<DnaSequence> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
+        let reference = SieveConfig::type3(8).with_host_kernels(HostKernels::Scalar);
+        let host = HostPipeline::new(device(reference, 1, &ds));
+        let base = host.classify_stream(&reads, chunk).unwrap();
+        let hit_frac = base.report.hits as f64 / base.report.queries as f64;
+        assert!(
+            (min_hit_frac..=max_hit_frac).contains(&hit_frac),
+            "hit fraction {hit_frac}"
+        );
+        let (kmers, owners) = host.extract_kmers(&reads);
+        let looked_up: Vec<_> = kmers
+            .iter()
+            .map(|&k| host.device().lookup(k).unwrap())
+            .collect();
+        assert_eq!(
+            vote_reads(reads.len(), &owners, &looked_up, HostKernels::Scalar),
+            base.reads,
+            "hit fraction {hit_frac}: streamed reads diverged from the probe-free lookups"
+        );
+        for kernels in [HostKernels::Scalar, HostKernels::Swar] {
             for threads in [1usize, 2, 4] {
-                let config = SieveConfig::type3(8)
-                    .with_hot_kmers(hot_kmers)
-                    .with_host_kernels(kernels);
+                let config = SieveConfig::type3(8).with_host_kernels(kernels);
                 let out = HostPipeline::new(device(config, threads, &ds))
                     .classify_stream(&reads, chunk)
                     .unwrap();
@@ -184,7 +206,7 @@ fn cache_and_kernel_grid_is_bit_identical_across_thread_counts() {
                     &out,
                     &base,
                     &format!(
-                        "kernels={} hot_kmers={hot_kmers} threads={threads}",
+                        "kernels={} hit fraction {hit_frac} threads={threads}",
                         kernels.label()
                     ),
                 );

@@ -126,31 +126,42 @@ fn device_batches_charge_identically_across_the_sweep() {
     }
 }
 
-/// Streaming with the hot-k-mer cache engaged: replayed chunks change
-/// which code path resolves a query, but the cache is deterministic for
-/// a fixed chunked stream, so the traffic table still may not vary with
-/// the thread count.
+/// Streaming through the member index: engaged chunks resolve their hits
+/// in the planner instead of the match stage, which changes what the
+/// sort and match phases are charged, but engagement is a pure function
+/// of each chunk, so on a stream that engages and on one that vetoes the
+/// traffic table still may not vary with the thread count.
 #[test]
 fn cached_streams_charge_identically_across_threads() {
     let _session = RecorderSession::begin();
     let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    let mut reference: Option<prof::ProfSnapshot> = None;
-    for threads in THREAD_SWEEP {
-        obs::global().reset();
-        prof::reset();
-        let config = SieveConfig::type3(8).with_hot_kmers(1 << 18);
-        HostPipeline::new(device(config, threads, &ds))
-            .classify_stream(&reads, 10)
-            .unwrap();
-        let snap = prof::snapshot();
-        match &reference {
-            None => reference = Some(snap),
-            Some(base) => assert_eq!(
-                &snap, base,
-                "cached stream threads={threads}: traffic snapshot diverged"
-            ),
+    let engaged = synth::ReadSimConfig {
+        from_reference: 1.0,
+        error_rate: 0.005,
+        ..synth::ReadSimConfig::default()
+    };
+    for (sim, expect_engaged) in [(engaged, true), (synth::ReadSimConfig::default(), false)] {
+        let (pass, _) = synth::simulate_reads(&ds, sim, 30, 31);
+        let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
+        let mut reference: Option<prof::ProfSnapshot> = None;
+        for threads in THREAD_SWEEP {
+            obs::global().reset();
+            prof::reset();
+            HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
+                .classify_stream(&reads, 10)
+                .unwrap();
+            assert_eq!(
+                obs::global().snapshot().counter("member_hits") > 0,
+                expect_engaged
+            );
+            let snap = prof::snapshot();
+            match &reference {
+                None => reference = Some(snap),
+                Some(base) => assert_eq!(
+                    &snap, base,
+                    "engaged={expect_engaged} threads={threads}: traffic snapshot diverged"
+                ),
+            }
         }
     }
 }

@@ -133,23 +133,26 @@ fn stream_model_trace_is_byte_identical_across_thread_counts() {
     assert!(starts.windows(2).all(|w| w[0] < w[1]), "{starts:?}");
 }
 
-/// The hot-k-mer cache must not leak thread-count effects into the
-/// model-time event stream: with the cache off or on, the stream is
-/// byte-identical across thread counts (the sort — its `sort.narrow`
-/// repack included — emits only `wall.*` spans, never model events). The
-/// stream repeats its reads three times so the cache genuinely engages;
-/// engagement is visible as `cache.probe` instants and must appear
-/// exactly when the cache is on.
+/// The member index must not leak thread-count effects into the
+/// model-time event stream: on a stream that engages it and on one that
+/// vetoes it, the stream is byte-identical across thread counts (the sort
+/// — its `sort.narrow` repack included — emits only `wall.*` spans, never
+/// model events). Engagement is visible as `member.probe` instants and
+/// must appear exactly on the engaged stream.
 #[test]
 fn cached_streams_keep_the_model_trace_byte_identical() {
     let _session = TracerSession::begin();
     let ds = dataset();
-    let (pass, _) = synth::simulate_reads(&ds, synth::ReadSimConfig::default(), 30, 31);
-    let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
-    for hot_kmers in [0usize, 1 << 18] {
+    let engaged = synth::ReadSimConfig {
+        from_reference: 1.0,
+        error_rate: 0.005,
+        ..synth::ReadSimConfig::default()
+    };
+    for (sim, expect_engaged) in [(engaged, true), (synth::ReadSimConfig::default(), false)] {
+        let (pass, _) = synth::simulate_reads(&ds, sim, 30, 31);
+        let reads: Vec<_> = pass.iter().cycle().take(pass.len() * 3).cloned().collect();
         let runs = model_sweep(|threads| {
-            let config = SieveConfig::type3(8).with_hot_kmers(hot_kmers);
-            HostPipeline::new(device(config, threads, &ds))
+            HostPipeline::new(device(SieveConfig::type3(8), threads, &ds))
                 .classify_stream(&reads, 10)
                 .unwrap();
         });
@@ -158,19 +161,19 @@ fn cached_streams_keep_the_model_trace_byte_identical() {
         for (i, (lines, _)) in runs.iter().enumerate().skip(1) {
             assert_eq!(
                 lines, base_lines,
-                "hot_kmers={hot_kmers} threads={}: model stream diverged",
+                "engaged={expect_engaged} threads={}: model stream diverged",
                 THREAD_SWEEP[i]
             );
         }
         let probes = base_snap
             .model
             .iter()
-            .filter(|e| e.name == "cache.probe")
+            .filter(|e| e.name == "member.probe")
             .count();
-        if hot_kmers > 0 {
-            assert!(probes > 0, "repeated chunks never probed the cache");
+        if expect_engaged {
+            assert!(probes > 0, "hit-heavy chunks never probed the member index");
         } else {
-            assert_eq!(probes, 0, "disabled cache must not probe");
+            assert_eq!(probes, 0, "~1%-hit chunks must not probe the member index");
         }
     }
 }
